@@ -7,8 +7,7 @@ resolutions of root modules.
 """
 
 from .canonical import CanonicalTable, CorrectionError, correction
-from .cartan import (CartanType, RootSystem, build_root_system,
-                     check_cases_identity, p_max)
+from .cartan import CartanType, RootSystem, check_cases_identity, p_max
 from .convex import (ConvexOrder, good_lyndon_words, is_convex, lyndon_order,
                      minimal_pairs, mp_choice, order_from_reduced_word,
                      random_reduced_word, reduced_words_of_w0)

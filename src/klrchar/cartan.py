@@ -141,22 +141,11 @@ class RootSystem:
     def height(self, b) -> int:
         return sum(b)
 
-    def is_root(self, b) -> bool:
-        return tuple(b) in self.root_set
-
-    def letter_form(self, i: int, j: int) -> int:
-        """alpha_i . alpha_j for 1-based node labels."""
-        return self.bilinear_matrix[i - 1][j - 1]
-
     def key(self) -> str:
         return str(self.cartan_type)
 
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
-
-
-def build_root_system(ct: CartanType) -> RootSystem:
-    return RootSystem(ct)
 
 
 def p_max(rs: RootSystem, beta: Root, gamma: Root) -> int:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
+import traceback
 
 from .canonical import CanonicalTable
 from .cartan import CartanType, RootSystem
@@ -19,16 +22,16 @@ from .klr import KLR
 from .kostant import kostant_partitions, kp_scalars, kp_sort_key
 from .laurent import LaurentPoly, factor_quantum
 from .modules import ProperStandard, rank_over
-from .pbw import PBWCharacters, dim_H, dim_proper_standard, standard_divisor
+from .pbw import PBWCharacters, dim_formula
 from .resolutions import euler_matches, resolution, verify_complex
-from .shuffle import sh_to_json
+from .shuffle import render_word, sh_to_json
 from . import verify as verify_mod
 
 
 def _parse_weight(text: str, rank: int):
     parts = [int(t) for t in text.replace(";", ",").split(",")]
     if len(parts) != rank:
-        raise SystemExit(_fail(f"--alpha needs {rank} comma-separated coefficients"))
+        raise ValueError(f"--alpha needs {rank} comma-separated coefficients")
     return tuple(parts)
 
 
@@ -37,7 +40,7 @@ def _parse_lambda(text: str, rank: int):
     for part in text.split(";"):
         out.append(tuple(int(t) for t in part.split(",")))
         if len(out[-1]) != rank:
-            raise SystemExit(_fail(f"--parts entries need {rank} coefficients"))
+            raise ValueError(f"--parts entries need {rank} coefficients")
     return tuple(out)
 
 
@@ -47,9 +50,12 @@ def _parse_eps(text: str | None, rs: RootSystem):
     eps = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
-        sign = 1 if chunk[0] == "+" else -1
+        if not (re.fullmatch(r"[+-][1-9][1-9]", chunk)
+                and max(int(chunk[1]), int(chunk[2])) <= rs.rank):
+            raise ValueError(f"--eps chunk {chunk!r} is not a sign and two node "
+                             f"labels of {rs.cartan_type}, like +12")
         i, j = int(chunk[1]), int(chunk[2])
-        eps[(i, j)] = sign
+        eps[(i, j)] = 1 if chunk[0] == "+" else -1
     for i in range(1, rs.rank + 1):
         for j in range(1, rs.rank + 1):
             if i != j and rs.cartan[i - 1][j - 1] < 0 and (i, j) not in eps:
@@ -57,12 +63,18 @@ def _parse_eps(text: str | None, rs: RootSystem):
     return eps
 
 
+def _parse_word(text: str, option: str):
+    """Node labels written as digits ('2121') or comma-separated ('2,1,12')."""
+    try:
+        return tuple(int(t) for t in (text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(f"{option} {text!r} is not a word of node labels") from None
+
+
 def _build_order(args, rs: RootSystem) -> ConvexOrder:
-    spec = args.order
-    if spec == "lyndon":
+    if args.order == "lyndon":
         return lyndon_order(rs)
-    word = tuple(int(t) for t in (spec.split(",") if "," in spec else spec))
-    return order_from_reduced_word(word, rs)
+    return order_from_reduced_word(_parse_word(args.order, "--order"), rs)
 
 
 def _emit(doc: dict, args, table: str):
@@ -83,10 +95,6 @@ def _fail(message: str, **extra) -> int:
     return 1
 
 
-def _word_str(w) -> str:
-    return "".join(map(str, w)) if all(x <= 9 for x in w) else ",".join(map(str, w))
-
-
 def _root_str(b) -> str:
     return "+".join(f"{c}a{i+1}" if c > 1 else f"a{i+1}"
                     for i, c in enumerate(b) if c) or "0"
@@ -101,7 +109,7 @@ def _d_labels(rs: RootSystem) -> dict[int, int]:
 
 def _coeff_word(c: LaurentPoly, w, rs: RootSystem) -> str:
     pretty = factor_quantum(c, _d_labels(rs))
-    word = _word_str(w)
+    word = render_word(w)
     return word if pretty == "1" else f"{pretty} {word}"
 
 
@@ -135,8 +143,8 @@ def cmd_lyndon(args, rs: RootSystem) -> int:
     words = good_lyndon_words(rs)
     rows = sorted((w, b) for b, w in words.items())
     doc = {"type": str(rs.cartan_type),
-           "words": [{"word": _word_str(w), "root": list(b)} for w, b in rows]}
-    _emit(doc, args, "\n".join(f"{_word_str(w):<30} {_root_str(b)}" for w, b in rows))
+           "words": [{"word": render_word(w), "root": list(b)} for w, b in rows]}
+    _emit(doc, args, "\n".join(f"{render_word(w):<30} {_root_str(b)}" for w, b in rows))
     return 0
 
 
@@ -153,9 +161,10 @@ def cmd_kp(args, rs: RootSystem) -> int:
             "factorial": fact.to_json(),
             "s": s,
             "kappa": kappa.to_json(),
-            "word": _word_str(word),
+            "word": render_word(word),
         })
-        lines.append(f"({', '.join(_root_str(p) for p in lam)}): word {_word_str(word)}, "
+        lines.append(f"({', '.join(_root_str(p) for p in lam)}): "
+                     f"word {render_word(word)}, "
                      f"s={s}, kappa={factor_quantum(kappa, _d_labels(rs))}")
     doc = {"type": str(rs.cartan_type), "alpha": list(weight),
            "order": order.label, "count": len(items), "partitions": items}
@@ -209,8 +218,6 @@ def cmd_canonical(args, rs: RootSystem) -> int:
 
 
 def cmd_dim_check(args, rs: RootSystem) -> int:
-    from .laurent import PowerSeries
-
     order = _build_order(args, rs)
     pbw = PBWCharacters(order)
     trunc = args.truncate
@@ -219,13 +226,7 @@ def cmd_dim_check(args, rs: RootSystem) -> int:
     items = []
     ok = True
     for weight in weights:
-        lhs = dim_H(weight, rs, trunc)
-        rhs = PowerSeries({}, trunc)
-        for lam in kostant_partitions(weight, order):
-            dbar = dim_proper_standard(lam, pbw)
-            work = trunc + max(0, -dbar.min_exp())
-            dd = PowerSeries.from_poly(dbar, work).div_poly(standard_divisor(lam, rs))
-            rhs = rhs + (dd * dbar).truncate(trunc)
+        lhs, rhs = dim_formula(weight, pbw, trunc)
         match = lhs == rhs
         ok = ok and match
         items.append({"alpha": list(weight), "dim_H": lhs.to_json(),
@@ -253,7 +254,7 @@ def cmd_gram(args, rs: RootSystem) -> int:
         if not (args.parts and args.word):
             return _fail("gram needs --parts and --word (or --willcex)")
         lam = _parse_lambda(args.parts, rs.rank)
-        word = tuple(int(ch) for ch in args.word)
+        word = _parse_word(args.word, "--word")
         degree = args.degree
         order = _build_order(args, rs)
         engine = KLR(rs, _parse_eps(args.eps, rs))
@@ -261,7 +262,7 @@ def cmd_gram(args, rs: RootSystem) -> int:
         G = M.gram_matrix(word, degree)
     doc = {
         "lambda": [list(p) for p in lam],
-        "word": _word_str(word),
+        "word": render_word(word),
         "degree": degree,
         "matrix": G,
         "rank_char0": rank_over(G, 0),
@@ -290,20 +291,26 @@ def cmd_resolve(args, rs: RootSystem) -> int:
     doc["euler_matches_standard_character"] = e_ok
     lines = []
     for d in sorted(cx.terms, reverse=True):
-        lines.append(f"P_{d} = " + " + ".join(f"q^{s} H 1_{_word_str(w)}"
+        lines.append(f"P_{d} = " + " + ".join(f"q^{s} H 1_{render_word(w)}"
                                               for s, w in cx.terms[d]))
     lines.append(f"d^2 = 0: {d_ok}; Euler matches: {e_ok}")
     _emit(doc, args, "\n".join(lines))
     return 0 if (d_ok and e_ok) else _fail("resolution check failed")
 
 
+def _worker_count(jobs: int) -> int:
+    """verify-all processes: at most one per check and one per CPU."""
+    return max(1, min(jobs, len(verify_mod.ALL_CHECKS), os.cpu_count() or 1))
+
+
 def cmd_verify_all(args, rs=None) -> int:
     count = len(verify_mod.ALL_CHECKS)
-    if args.jobs > 1:
+    workers = _worker_count(args.jobs)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(verify_mod.run_check, seed=args.seed),
                                     range(count)))
     else:
@@ -348,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Cartan family A..G")
         p.add_argument("--rank", type=int, default=2)
         p.add_argument("--order", default="lyndon",
-                       help="'lyndon' or a reduced word like 121")
+                       help="'lyndon' or a reduced word like 121; "
+                            "commas (1,2,1) for labels >= 10")
         p.add_argument("--mod", default="",
                        help="comma-separated characteristics for ranks")
         p.add_argument("--truncate", type=int, default=12,
@@ -363,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weight as comma-separated coefficients")
         p.add_argument("--parts", default="",
                        help="Kostant partition parts, ';'-separated weights")
-        p.add_argument("--word", default="", help="target word, e.g. 2121")
+        p.add_argument("--word", default="",
+                       help="target word, e.g. 2121; commas (2,1,2,1) for labels >= 10")
         p.add_argument("--degree", type=int, default=0)
         p.add_argument("--max-height", dest="max_height", type=int, default=4)
         p.add_argument("--willcex", action="store_true",
@@ -373,40 +382,43 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config(args, parser):
+def _apply_config(args, argv: list[str], parser):
+    """Parse again with the config file's options placed before the flags.
+
+    Config keys are flag names without the dashes ("cache-dir"); a flag
+    given on the command line comes later and wins.
+    """
     if not args.config:
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
-    sub = parser._subparsers._group_actions[0].choices[args.command]
-    by_option = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            by_option[opt.lstrip("-")] = action
+    options = []
     for key, value in conf.items():
-        action = by_option.get(key)
-        if action is None:
-            continue
-        if getattr(args, action.dest) == action.default:
-            setattr(args, action.dest, value)
-    return args
+        if value is True:
+            options.append(f"--{key}")
+        elif value is not False:
+            options.append(f"--{key}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + options + argv[at:])
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
-    if args.command == "verify-all":
-        return cmd_verify_all(args)
     try:
-        ct = CartanType(args.family, args.rank)
-    except ValueError as e:
-        return _fail(str(e))
-    rs = RootSystem(ct)
-    try:
+        args = _apply_config(args, argv, parser)
+        if args.command == "verify-all":
+            return cmd_verify_all(args)
+        rs = RootSystem(CartanType(args.family, args.rank))
         return COMMANDS[args.command](args, rs)
-    except (ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         return _fail(str(e))
+    except Exception as e:
+        # anything else is unexpected: its traceback goes to stderr, and
+        # stdout still gets the error document
+        traceback.print_exc()
+        return _fail(f"{type(e).__name__}: {e}" if str(e) else type(e).__name__)
 
 
 if __name__ == "__main__":

@@ -34,9 +34,6 @@ class ConvexOrder:
     def precedes(self, a: Root, b: Root) -> bool:
         return self.rank_of[a] < self.rank_of[b]
 
-    def sort_desc(self, roots) -> list[Root]:
-        return sorted(roots, key=lambda b: -self.rank_of[b])
-
     def fingerprint(self) -> str:
         return ",".join("".join(map(str, b)) for b in self.roots)
 

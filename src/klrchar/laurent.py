@@ -145,10 +145,6 @@ class LaurentPoly:
                     del rem[k]
         return LaurentPoly(quo)
 
-    def evaluate_one(self) -> int:
-        """Value at q = 1."""
-        return sum(self.c.values())
-
     # -- rendering ---------------------------------------------------------
 
     def to_json(self) -> dict[str, int]:

@@ -9,6 +9,12 @@ Inexact division signals corrupted ordering data and raises.
 Characters depend on the ordering only through the minimal-pair recursion
 tree, so results are cached globally under that fingerprint and shared
 between orderings.
+
+Projective characters come from the same shuffle kernel: the character of
+H 1_j is the shuffle j_1 o ... o j_n of the single letters of j divided by
+prod_k (1 - q^{2 d_{j_k}}).  The graded dimension of H(alpha) sums those
+numerators over the words of alpha, and `dim_formula` sets it against the
+sum over Kostant partitions of Dim Delta(lambda) Dim bar-Delta(lambda).
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ from itertools import permutations
 
 from .cartan import Root, RootSystem, p_max
 from .convex import ConvexOrder, Word, mp_choice, mp_fingerprint
-from .kostant import KP, kp_scalars
+from .kostant import KP, kostant_partitions, kp_scalars, multiplicities
 from .laurent import ExactDivisionError, LaurentPoly, PowerSeries
-from .shuffle import (ShuffleElement, deg_stat, sh_scale, sh_sub, sh_word,
-                      shuffle)
+from .shuffle import (ShuffleElement, q_commutator, sh_dim, sh_scale, sh_unit,
+                      sh_word, shuffle)
 
 _GLOBAL_ROOT_CHAR_CACHE: dict[tuple, ShuffleElement] = {}
 
@@ -58,8 +64,7 @@ class PBWCharacters:
         cg = self.dual_root(gamma)
         p = p_max(rs, beta, gamma)
         bg = rs.form(beta, gamma)
-        num = sh_sub(shuffle(cg, cb, rs),
-                     sh_scale(shuffle(cb, cg, rs), LaurentPoly.term(1, -bg)))
+        num = q_commutator(cg, cb, -bg, rs)
         div = LaurentPoly({-p: 1}) - LaurentPoly({p - 2 * bg: 1})
         out: ShuffleElement = {}
         for w, c in num.items():
@@ -88,8 +93,6 @@ class PBWCharacters:
 
 def standard_divisor(lam: KP, rs: RootSystem) -> LaurentPoly:
     """prod over parts beta and 1 <= r <= mult of (1 - q_beta^{2r})."""
-    from .kostant import multiplicities
-
     out = LaurentPoly.one()
     for b, m in multiplicities(lam).items():
         db = rs.d_root(b)
@@ -105,30 +108,27 @@ def dim_standard(lam: KP, pbw: PBWCharacters, trunc: int) -> dict[Word, PowerSer
     return {w: PowerSeries.from_poly(c, trunc).div_poly(div) for w, c in ch.items()}
 
 
-def char_projective(j: Word, rs: RootSystem, trunc: int) -> dict[Word, PowerSeries]:
-    """Character of the left projective at word j, to the truncation.
-
-    The i-coefficient is sum over permutations sending j to i of
-    q^{deg(w; j)}, divided by prod_k (1 - q^{2 d_{j_k}}).
-    """
-    n = len(j)
-    div = LaurentPoly.one()
+def projective_numerator(j: Word, rs: RootSystem) -> ShuffleElement:
+    """The shuffle j_1 o j_2 o ... o j_n of the single letters of j."""
+    acc = sh_unit()
     for letter in j:
-        d = rs.d[letter - 1]
-        div = div * (LaurentPoly.one() - LaurentPoly.term(1, 2 * d))
-    acc: dict[Word, dict[int, int]] = {}
-    for perm in permutations(range(n)):
-        word = [0] * n
-        for k, target in enumerate(perm):
-            word[target] = j[k]
-        word = tuple(word)
-        e = deg_stat(perm, j, rs)
-        d = acc.setdefault(word, {})
-        d[e] = d.get(e, 0) + 1
-    return {
-        w: PowerSeries.from_poly(LaurentPoly(exps), trunc).div_poly(div)
-        for w, exps in acc.items()
-    }
+        acc = shuffle(acc, sh_word((letter,)), rs)
+    return acc
+
+
+def projective_divisor(j: Word, rs: RootSystem) -> LaurentPoly:
+    """prod_k (1 - q^{2 d_{j_k}}); it depends only on the weight of j."""
+    out = LaurentPoly.one()
+    for letter in j:
+        out = out * (LaurentPoly.one() - LaurentPoly.term(1, 2 * rs.d[letter - 1]))
+    return out
+
+
+def char_projective(j: Word, rs: RootSystem, trunc: int) -> dict[Word, PowerSeries]:
+    """Character of the left projective H 1_j, to the truncation."""
+    div = projective_divisor(j, rs)
+    return {w: PowerSeries.from_poly(c, trunc).div_poly(div)
+            for w, c in projective_numerator(j, rs).items()}
 
 
 def dim_H(weight, rs: RootSystem, trunc: int) -> PowerSeries:
@@ -140,22 +140,23 @@ def dim_H(weight, rs: RootSystem, trunc: int) -> PowerSeries:
     letters = []
     for i, c in enumerate(weight):
         letters.extend([i + 1] * c)
-    words = sorted(set(permutations(letters)))
-    total = PowerSeries({}, trunc)
-    for i_word in words:
-        div = LaurentPoly.one()
-        for letter in i_word:
-            d = rs.d[letter - 1]
-            div = div * (LaurentPoly.one() - LaurentPoly.term(1, 2 * d))
-        acc: dict[int, int] = {}
-        for perm in permutations(range(n)):
-            e = deg_stat(perm, i_word, rs)
-            acc[e] = acc.get(e, 0) + 1
-        total = total + PowerSeries.from_poly(LaurentPoly(acc), trunc).div_poly(div)
-    return total
+    total = LaurentPoly.zero()
+    for j in sorted(set(permutations(letters))):
+        total = total + sh_dim(projective_numerator(j, rs))
+    return PowerSeries.from_poly(total, trunc).div_poly(projective_divisor(letters, rs))
 
 
-def dim_proper_standard(lam: KP, pbw: PBWCharacters) -> LaurentPoly:
-    from .shuffle import sh_dim
-
-    return sh_dim(pbw.proper_standard(lam))
+def dim_formula(weight, pbw: PBWCharacters,
+                trunc: int) -> tuple[PowerSeries, PowerSeries]:
+    """Both sides of Dim H(alpha) = sum_lambda Dim Delta(lambda) Dim bar-Delta(lambda)."""
+    rs = pbw.rs
+    lhs = dim_H(weight, rs, trunc)
+    rhs = PowerSeries({}, trunc)
+    for lam in kostant_partitions(weight, pbw.order):
+        dbar = sh_dim(pbw.proper_standard(lam))
+        # headroom: multiplying by the negative tail of Dim bar-Delta
+        # pulls higher series terms below the truncation
+        work = trunc + max(0, -dbar.min_exp())
+        ddelta = PowerSeries.from_poly(dbar, work).div_poly(standard_divisor(lam, rs))
+        rhs = rhs + (ddelta * dbar).truncate(trunc)
+    return lhs, rhs

@@ -4,13 +4,17 @@ A shuffle element is a sparse dict word -> LaurentPoly.  The product of two
 words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts crossing
 pairs weighted by minus the form on the letters.  Single word-pair products
 are memoized per root system since they recur heavily across orderings.
+
+`q_commutator` is the one rank-two building block: the solve for dual root
+vectors divides it, and the length-two check compares it with the root
+character it produces.
 """
 
 from __future__ import annotations
 
 from .cartan import RootSystem
 from .convex import Word
-from .laurent import LaurentPoly, PowerSeries
+from .laurent import LaurentPoly
 
 ShuffleElement = dict  # Word -> LaurentPoly
 
@@ -32,13 +36,6 @@ def deg_stat(w_perm: tuple[int, ...], word: Word, rs: RootSystem) -> int:
             if w_perm[j] > w_perm[k]:
                 total -= B[word[j] - 1][word[k] - 1]
     return total
-
-
-def apply_perm(w_perm: tuple[int, ...], word: Word) -> Word:
-    out = [0] * len(word)
-    for k, target in enumerate(w_perm):
-        out[target] = word[k]
-    return tuple(out)
 
 
 def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
@@ -136,6 +133,13 @@ def sh_scale(a: ShuffleElement, c: LaurentPoly | int) -> ShuffleElement:
 def sh_sub(a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
     return sh_add(a, sh_scale(b, -1))
 
+
+def q_commutator(a: ShuffleElement, b: ShuffleElement, s: int,
+                 rs: RootSystem) -> ShuffleElement:
+    """a o b - q^s (b o a)."""
+    return sh_sub(shuffle(a, b, rs), sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, s)))
+
+
 def sh_eq(a: ShuffleElement, b: ShuffleElement) -> bool:
     return {w: c.c for w, c in a.items() if c} == {w: c.c for w, c in b.items() if c}
 
@@ -200,6 +204,3 @@ def sh_dim(a: ShuffleElement) -> LaurentPoly:
         out = out + c
     return out
 
-
-def sh_series(a: ShuffleElement, trunc: int) -> dict[Word, PowerSeries]:
-    return {w: PowerSeries.from_poly(c, trunc) for w, c in a.items()}

@@ -18,11 +18,11 @@ from .convex import (good_lyndon_words, is_convex, lyndon_order,
                      random_reduced_word, reduced_words_of_w0)
 from .klr import KLR, add_into, elem_add, elem_scale, perm_id
 from .kostant import kostant_partitions, kp_less
-from .laurent import LaurentPoly, PowerSeries
+from .laurent import LaurentPoly
 from .modules import ProperStandard, rank_over
-from .pbw import PBWCharacters, dim_H, dim_proper_standard, standard_divisor
+from .pbw import PBWCharacters, dim_formula
 from .resolutions import euler_matches, resolution, verify_complex
-from .shuffle import (bar, sh_eq, sh_scale, sh_sub, sh_word, shuffle,
+from .shuffle import (bar, q_commutator, sh_eq, sh_scale, sh_word, shuffle,
                       word_weight)
 from . import tables
 
@@ -153,13 +153,9 @@ def check_length_two(seed: int = 20260809, n_orders: int = 8) -> dict:
                     total += 1
                     p = p_max(rs, beta, gamma)
                     bg = rs.form(beta, gamma)
-                    ca = pbw.dual_root(alpha)
-                    cb = pbw.dual_root(beta)
-                    cg = pbw.dual_root(gamma)
-                    lhs = sh_scale(
-                        sh_sub(shuffle(cb, cg, rs), sh_scale(ca, LaurentPoly.term(1, p - bg))),
-                        LaurentPoly.term(1, -bg))
-                    rhs = sh_sub(shuffle(cg, cb, rs), sh_scale(ca, LaurentPoly.term(1, -p)))
+                    lhs = q_commutator(pbw.dual_root(gamma), pbw.dual_root(beta), -bg, rs)
+                    rhs = sh_scale(pbw.dual_root(alpha),
+                                   LaurentPoly({-p: 1}) - LaurentPoly({p - 2 * bg: 1}))
                     if not sh_eq(lhs, rhs):
                         failures.append(f"{family}{rank} {alpha} {beta},{gamma}")
     detail = (f"{total} minimal pairs checked exactly"
@@ -175,20 +171,10 @@ def check_dim_formula(trunc: int = 10) -> dict:
     total = 0
     for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
         rs = get_rs(family, rank)
-        order = lyndon_order(rs)
-        pbw = PBWCharacters(order)
+        pbw = PBWCharacters(lyndon_order(rs))
         for weight in weights_up_to(rs, 4):
             total += 1
-            lhs = dim_H(weight, rs, trunc)
-            rhs = PowerSeries({}, trunc)
-            for lam in kostant_partitions(weight, order):
-                dbar = dim_proper_standard(lam, pbw)
-                # headroom: multiplying by the negative tail of Dim bar-Delta
-                # pulls higher series terms below the truncation
-                work = trunc + max(0, -dbar.min_exp())
-                ddelta = PowerSeries.from_poly(dbar, work).div_poly(
-                    standard_divisor(lam, rs))
-                rhs = rhs + (ddelta * dbar).truncate(trunc)
+            lhs, rhs = dim_formula(weight, pbw, trunc)
             if lhs != rhs:
                 failures.append(f"{family}{rank} {weight}")
     detail = (f"{total} weights, truncation q^{trunc}"
@@ -525,7 +511,3 @@ _SEEDED = {check_ball2, check_length_two, check_properties}
 def run_check(index: int, seed: int = 20260809) -> dict:
     fn = ALL_CHECKS[index]
     return fn(seed=seed) if fn in _SEEDED else fn()
-
-
-def run_all(seed: int = 20260809) -> list[dict]:
-    return [run_check(t, seed) for t in range(len(ALL_CHECKS))]

@@ -1,7 +1,6 @@
 import pytest
 
-from klrchar.cartan import (CartanType, build_root_system,
-                            check_cases_identity, p_max)
+from klrchar.cartan import CartanType, RootSystem, check_cases_identity, p_max
 
 CLASSICAL_COUNTS = {
     ("A", 2): 3, ("A", 3): 6, ("A", 5): 15,
@@ -23,28 +22,28 @@ def test_rank_validation():
 
 
 def test_a2_data():
-    rs = build_root_system(CartanType("A", 2))
+    rs = RootSystem(CartanType("A", 2))
     assert rs.cartan == ((2, -1), (-1, 2))
     assert rs.d == (1, 1)
     assert len(rs.positive_roots) == 3
 
 
 def test_g2_data():
-    rs = build_root_system(CartanType("G", 2))
+    rs = RootSystem(CartanType("G", 2))
     assert rs.d == (1, 3)
     assert rs.form((1, 0), (0, 1)) == -3
 
 
 @pytest.mark.parametrize("family,rank", sorted(CLASSICAL_COUNTS))
 def test_positive_root_counts(family, rank):
-    rs = build_root_system(CartanType(family, rank))
+    rs = RootSystem(CartanType(family, rank))
     assert len(rs.positive_roots) == CLASSICAL_COUNTS[(family, rank)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3),
                                          ("D", 4), ("F", 4), ("G", 2)])
 def test_cartan_invariants(family, rank):
-    rs = build_root_system(CartanType(family, rank))
+    rs = RootSystem(CartanType(family, rank))
     r = rs.rank
     for i in range(r):
         assert rs.cartan[i][i] == 2
@@ -67,12 +66,12 @@ def test_cartan_invariants(family, rank):
 
 
 def test_p_max_examples():
-    rs = build_root_system(CartanType("A", 2))
+    rs = RootSystem(CartanType("A", 2))
     # any simply-laced summable pair has p = 0
     assert p_max(rs, (1, 0), (0, 1)) == 0
-    g2 = build_root_system(CartanType("G", 2))
+    g2 = RootSystem(CartanType("G", 2))
     assert p_max(g2, (2, 1), (1, 0)) == 2
-    b2 = build_root_system(CartanType("B", 2))
+    b2 = RootSystem(CartanType("B", 2))
     # short + short = long: alpha_{r-1}+alpha_r and alpha_r are both short in B2
     short_sum, short = (1, 1), (0, 1)
     assert b2.d_root(short_sum) == 1 and b2.d_root(short) == 1
@@ -81,14 +80,14 @@ def test_p_max_examples():
 
 
 def test_p_max_equal_roots():
-    rs = build_root_system(CartanType("A", 2))
+    rs = RootSystem(CartanType("A", 2))
     # beta = gamma: beta - 2 gamma = -beta is a root
     assert p_max(rs, (1, 0), (1, 0)) == 2
 
 
 def test_root_string_contiguous():
     for fam, rank in [("B", 3), ("G", 2), ("A", 3)]:
-        rs = build_root_system(CartanType(fam, rank))
+        rs = RootSystem(CartanType(fam, rank))
         for beta in rs.positive_roots:
             for gamma in rs.positive_roots:
                 if beta == gamma:
@@ -101,18 +100,18 @@ def test_root_string_contiguous():
 
 
 def test_cases_identity_a2():
-    rs = build_root_system(CartanType("A", 2))
+    rs = RootSystem(CartanType("A", 2))
     assert check_cases_identity(rs, (1, 1), (1, 0), (0, 1))
 
 
 def test_cases_identity_g2_triple():
-    rs = build_root_system(CartanType("G", 2))
+    rs = RootSystem(CartanType("G", 2))
     assert check_cases_identity(rs, (3, 1), (2, 1), (1, 0))
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("F", 4), ("G", 2)])
 def test_cases_identity_exhaustive(family, rank):
-    rs = build_root_system(CartanType(family, rank))
+    rs = RootSystem(CartanType(family, rank))
     count = 0
     for beta in rs.positive_roots:
         for gamma in rs.positive_roots:
@@ -127,6 +126,6 @@ def test_cases_identity_exhaustive(family, rank):
 
 
 def test_precondition_errors():
-    rs = build_root_system(CartanType("A", 2))
+    rs = RootSystem(CartanType("A", 2))
     with pytest.raises(ValueError):
         check_cases_identity(rs, (1, 1), (1, 0), (1, 0))

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from klrchar import cli, verify
 from klrchar.cli import main
 
 
@@ -144,3 +147,74 @@ def test_config_file_flags_win(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "roots", "--config", str(conf),
                            "--type", "B", "--rank", "3")
     assert json.loads(out)["type"] == "B3"
+
+
+def test_order_word_with_commas(capsys):
+    _, digits, _ = run_cli(capsys, "orders", "--type", "A", "--rank", "2",
+                           "--order", "121")
+    _, commas, _ = run_cli(capsys, "orders", "--type", "A", "--rank", "2",
+                           "--order", "1,2,1")
+    assert commas == digits
+    # labels >= 10 need the commas: s_1 s_2 s_1 ... s_10 ... s_1 in A10
+    word = [i for k in range(1, 11) for i in range(k, 0, -1)]
+    code, out, _ = run_cli(capsys, "orders", "--type", "A", "--rank", "10",
+                           "--order", ",".join(map(str, word)))
+    assert code == 0
+    assert len(json.loads(out)["roots"]) == 55
+
+
+def test_gram_word_with_commas(capsys):
+    args = ("gram", "--type", "A", "--rank", "2", "--parts", "0,1;1,1;1,0")
+    code, digits, _ = run_cli(capsys, *args, "--word", "2121")
+    assert code == 0
+    assert json.loads(digits)["matrix"] == [[1]]
+    _, commas, _ = run_cli(capsys, *args, "--word", "2,1,2,1")
+    assert commas == digits
+
+
+def test_bad_word_named(capsys):
+    code, out, _ = run_cli(capsys, "orders", "--type", "A", "--rank", "2",
+                           "--order", "1x1")
+    assert code == 1
+    assert "--order" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("eps", ["+1", "12", "*12", "+123", "+14"])
+def test_malformed_eps_named(capsys, eps):
+    code, out, _ = run_cli(capsys, "resolve", "--type", "A", "--rank", "3",
+                           "--alpha", "1,1,1", "--eps", eps)
+    assert code == 1
+    assert repr(eps) in json.loads(out)["error"]
+
+
+def test_any_exception_becomes_error_document(capsys, monkeypatch):
+    def out_of_memory(args, rs):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "pbw-char", out_of_memory)
+    code, out, err = run_cli(capsys, "pbw-char", "--type", "E", "--rank", "8")
+    assert code == 1
+    assert json.loads(out) == {"error": "MemoryError"}
+    assert "MemoryError" in err
+
+
+def test_config_dest_differs_from_flag(tmp_path, capsys):
+    # --type is stored as `family`, --cache-dir as `cache_dir`
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"type": "G", "cache-dir": str(tmp_path)}))
+    code, out, _ = run_cli(capsys, "canonical", "--rank", "2", "--config", str(conf))
+    assert code == 0
+    assert json.loads(out)["type"] == "G2"
+    assert list(tmp_path.glob("canonical-*.json"))
+
+
+def test_verify_jobs_capped(monkeypatch):
+    checks = len(verify.ALL_CHECKS)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._worker_count(100) == checks
+    assert cli._worker_count(3) == 3
+    assert cli._worker_count(0) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._worker_count(8) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(8) == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -7,10 +8,46 @@ from klrchar.convex import (lyndon_order, minimal_pairs,
                             order_from_reduced_word, random_reduced_word)
 from klrchar.kostant import kostant_partitions, kp_less, kp_scalars
 from klrchar.laurent import ExactDivisionError, LaurentPoly, PowerSeries
-from klrchar.pbw import (PBWCharacters, char_projective, dim_H,
+from klrchar.pbw import (PBWCharacters, char_projective, dim_formula, dim_H,
                          dim_standard, standard_divisor)
-from klrchar.shuffle import (is_bar_invariant, sh_eq, sh_scale, sh_sub,
-                             sh_word, shuffle)
+from klrchar.shuffle import (deg_stat, is_bar_invariant, sh_eq, sh_scale,
+                             sh_sub, sh_word, shuffle)
+from klrchar.verify import weights_up_to
+
+
+def oracle_numerator(j, rs):
+    """Oracle: sum over all permutations w of q^{deg(w; j)} w(j)."""
+    acc = {}
+    for perm in permutations(range(len(j))):
+        word = [0] * len(j)
+        for k, target in enumerate(perm):
+            word[target] = j[k]
+        exps = acc.setdefault(tuple(word), {})
+        e = deg_stat(perm, j, rs)
+        exps[e] = exps.get(e, 0) + 1
+    return {w: LaurentPoly(exps) for w, exps in acc.items()}
+
+
+def oracle_divisor(j, rs):
+    div = LaurentPoly.one()
+    for letter in j:
+        div = div * (LaurentPoly.one() - LaurentPoly.term(1, 2 * rs.d[letter - 1]))
+    return div
+
+
+def oracle_char_projective(j, rs, trunc):
+    div = oracle_divisor(j, rs)
+    return {w: PowerSeries.from_poly(c, trunc).div_poly(div)
+            for w, c in oracle_numerator(j, rs).items()}
+
+
+def oracle_dim_H(weight, rs, trunc):
+    letters = [i + 1 for i, c in enumerate(weight) for _ in range(c)]
+    total = PowerSeries({}, trunc)
+    for j in sorted(set(permutations(letters))):
+        for c in oracle_char_projective(j, rs, trunc).values():
+            total = total + c
+    return total
 
 
 def setup_type(fam, rank):
@@ -174,6 +211,27 @@ def test_char_projective_regular_a1():
     rs, o, pbw = setup_type("A", 1)
     got = char_projective((1,), rs, 10)
     assert got == {(1,): PowerSeries({2 * k: 1 for k in range(6)}, 10)}
+
+
+@pytest.mark.parametrize("fam,rank", [("G", 2), ("B", 3), ("C", 3), ("D", 4),
+                                      ("F", 4), ("E", 6)])
+def test_char_projective_matches_permutation_sum(fam, rank):
+    rs = RootSystem(CartanType(fam, rank))
+    rng = random.Random(rank * 31 + ord(fam))
+    for n in range(1, 7):
+        for _ in range(3):
+            j = tuple(rng.randint(1, rank) for _ in range(n))
+            assert char_projective(j, rs, 10) == oracle_char_projective(j, rs, 10), j
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_dim_H_matches_permutation_sum(fam, rank):
+    rs, o, pbw = setup_type(fam, rank)
+    for weight in weights_up_to(rs, 5):
+        want = oracle_dim_H(weight, rs, 10)
+        assert dim_H(weight, rs, 10) == want, weight
+        # and the sum over Kostant partitions, the formula's other side
+        assert dim_formula(weight, pbw, 10)[1] == want, weight
 
 
 def test_inexact_division_detected():

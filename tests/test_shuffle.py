@@ -2,11 +2,13 @@ import random
 from itertools import permutations
 
 from klrchar.cartan import CartanType, RootSystem
-from klrchar.convex import lyndon_order
+from klrchar.cartan import p_max
+from klrchar.convex import lyndon_order, minimal_pairs
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
-from klrchar.shuffle import (bar, deg_stat, restrict_character, sh_eq,
-                             sh_scale, sh_word, shuffle, word_weight)
+from klrchar.shuffle import (bar, deg_stat, q_commutator, restrict_character,
+                             sh_eq, sh_scale, sh_word, shuffle, word_weight)
+from klrchar.tables import G2_CANONICAL_TABLE, parse_bracket_expr
 
 
 def brute_shuffle(i, j, rs):
@@ -147,3 +149,34 @@ def test_restrict_weight_mismatch():
     rs = RootSystem(CartanType("A", 2))
     with pytest.raises(ValueError):
         restrict_character({(1, 2): LaurentPoly.one()}, [(1, 0), (1, 0)], rs)
+
+
+def test_q_commutator_a2():
+    # 1 o 2 - q (2 o 1) = (1 - q^2) 12, the rank-two identity for alpha_1 + alpha_2
+    rs = RootSystem(CartanType("A", 2))
+    got = q_commutator(sh_word((1,)), sh_word((2,)), 1, rs)
+    assert got == {(1, 2): LaurentPoly({0: 1, 2: -1})}
+    assert q_commutator(sh_word((1,)), sh_word((2,)), 0, rs) == {
+        (1, 2): LaurentPoly({0: 1, 1: -1}), (2, 1): LaurentPoly({1: 1, 0: -1})}
+
+
+def test_q_commutator_g2_root_identities():
+    # r*_gamma o r*_beta - q^{-b.g} r*_beta o r*_gamma = (q^{-p} - q^{p-2b.g}) r*_alpha
+    # for every minimal pair, with the root characters read from the G2 table
+    rs = RootSystem(CartanType("G", 2))
+    order = lyndon_order(rs)
+    root_char = {parts[0]: parse_bracket_expr(expr, rs.d)
+                 for parts, expr in G2_CANONICAL_TABLE if len(parts) == 1}
+    checked = 0
+    for alpha in rs.positive_roots:
+        if sum(alpha) == 1:
+            continue
+        for beta, gamma in minimal_pairs(alpha, order):
+            p = p_max(rs, beta, gamma)
+            bg = rs.form(beta, gamma)
+            lhs = q_commutator(root_char[gamma], root_char[beta], -bg, rs)
+            rhs = sh_scale(root_char[alpha],
+                           LaurentPoly({-p: 1}) - LaurentPoly({p - 2 * bg: 1}))
+            assert sh_eq(lhs, rhs), (alpha, beta, gamma)
+            checked += 1
+    assert checked >= 4

@@ -1,0 +1,62 @@
+"""The benchmark's tracer wraps klrchar functions by name from outside.
+
+`benchmark/tracer.py` is read here, never changed: a refactor that renames
+a wrapped function or moves it off the call path the tracer counts on
+fails these tests instead of breaking `benchmark/run.py --trace 1`.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from klrchar import CartanType, RootSystem, lyndon_order
+from klrchar import pbw as pbw_mod
+from klrchar import resolutions
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("klrchar_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves(tracer):
+    for layer, entries in tracer.WRAPPED.items():
+        for module_name, cls_name, names in entries:
+            module = importlib.import_module(module_name)
+            owner = getattr(module, cls_name) if cls_name else module
+            where = owner.__dict__ if cls_name else vars(module)
+            for name in names:
+                assert callable(where.get(name)), (layer, module_name, cls_name, name)
+
+
+def test_wrapped_names_stay_on_their_call_paths(tracer, monkeypatch):
+    # a private root-character cache, so the solves below really run
+    monkeypatch.setattr(pbw_mod, "_GLOBAL_ROOT_CHAR_CACHE", {})
+    rs = RootSystem(CartanType("A", 3))
+    order = lyndon_order(rs)
+    # the tracer rebinds names inside klrchar, so call through the modules
+    t = tracer.Tracer().install()
+    try:
+        pbw = pbw_mod.PBWCharacters(order)
+        cx = resolutions.resolution((1, 1, 1), order)
+        assert resolutions.euler_matches(cx, order, pbw, 8)
+        pbw_mod.dim_standard(((1, 1, 1),), pbw, 8)
+    finally:
+        t.uninstall()
+    for key in ("pbw._solve", "pbw.char_projective", "pbw.dim_standard",
+                "resolutions.euler_matches", "resolutions.euler_character",
+                "resolutions.expected_euler",
+                "shuffle.shuffle", "shuffle._pair_shuffle", "shuffle.sh_add",
+                "shuffle.sh_scale", "shuffle.sh_sub"):
+        assert t.calls[key] > 0, key
+    metrics = t.metrics()
+    assert metrics["shuffle.pair_computed"] > 0
+    assert metrics["shuffle.pair_cache_entries"] > 0
+    assert metrics["pbw.char_projective_perms"] > 0
