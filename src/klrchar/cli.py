@@ -285,7 +285,7 @@ def cmd_resolve(args, rs: RootSystem) -> int:
     engine = KLR(rs, _parse_eps(args.eps, rs))
     cx = resolution(alpha, order, engine)
     d_ok = verify_complex(cx)
-    e_ok = euler_matches(cx, order, PBWCharacters(order), args.truncate)
+    e_ok = euler_matches(cx, order, PBWCharacters(order))
     doc = cx.to_json()
     doc["differential_squares_to_zero"] = d_ok
     doc["euler_matches_standard_character"] = e_ok
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mod", default="",
                        help="comma-separated characteristics for ranks")
         p.add_argument("--truncate", type=int, default=12,
-                       help="series truncation degree")
+                       help="series truncation degree (dim-check)")
         p.add_argument("--eps", default="",
                        help="sign convention, e.g. '+12,-21'; default +1 for i<j")
         p.add_argument("--seed", type=int, default=20260809)

@@ -17,12 +17,8 @@ Positions are 0-based internally (tau_k crosses strands k and k+1,
 
 from __future__ import annotations
 
-import sys
-
 from .cartan import RootSystem
-
-# straightening recursion nests once per crossing; long words need headroom
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
+from .shuffle import render_word
 
 Perm = tuple[int, ...]
 Monomial = tuple  # (word, perm, exps)
@@ -424,10 +420,8 @@ def _demazure(a, k: int) -> list[tuple[int, tuple]]:
 def klr_to_json(elem: Element, klr: KLR) -> list[dict]:
     items = []
     for (i, w, a) in sorted(elem):
-        word = "".join(map(str, i)) if all(x <= 9 for x in i) else \
-            ",".join(map(str, i))
         items.append({
-            "word": word,
+            "word": render_word(i),
             "perm": list(w),
             "exps": list(a),
             "coeff": elem[(i, w, a)],

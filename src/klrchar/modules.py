@@ -357,36 +357,20 @@ def rank_over(matrix, p: int = 0) -> int:
     """Rank over Q (p = 0) or over F_p (p prime)."""
     if not matrix or not matrix[0]:
         return 0
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    if p:
-        rows = [[a % p for a in r] for r in rows]
-        rank = 0
-        for col in range(ncols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][col], -1, p)
-            rows[rank] = [(a * inv) % p for a in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
-    rows = [[Fraction(a) for a in r] for r in rows]
+    # the field: F_p reduces mod p, Q computes with fractions
+    norm = (lambda a: a % p) if p else Fraction
+    rows = [[norm(a) for a in r] for r in matrix]
     rank = 0
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [a / lead for a in rows[rank]]
+        inv = pow(rows[rank][col], -1, p) if p else 1 / rows[rank][col]
+        rows[rank] = [norm(a * inv) for a in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [norm(a - f * b) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank

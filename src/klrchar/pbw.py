@@ -10,23 +10,22 @@ Characters depend on the ordering only through the minimal-pair recursion
 tree, so results are cached globally under that fingerprint and shared
 between orderings.
 
-Projective characters come from the same shuffle kernel: the character of
+Projective characters come from the letter-shuffle fold: the character of
 H 1_j is the shuffle j_1 o ... o j_n of the single letters of j divided by
-prod_k (1 - q^{2 d_{j_k}}).  The graded dimension of H(alpha) sums those
-numerators over the words of alpha, and `dim_formula` sets it against the
-sum over Kostant partitions of Dim Delta(lambda) Dim bar-Delta(lambda).
+prod_k (1 - q^{2 d_{j_k}}).  The graded dimension of H(alpha) is one fold
+over all words of alpha, summed and divided once, and `dim_formula` sets it
+against the sum over Kostant partitions of Dim Delta(lambda) Dim bar-Delta(lambda).
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .cartan import Root, RootSystem, p_max
 from .convex import ConvexOrder, Word, mp_choice, mp_fingerprint
 from .kostant import KP, kostant_partitions, kp_scalars, multiplicities
 from .laurent import ExactDivisionError, LaurentPoly, PowerSeries
-from .shuffle import (ShuffleElement, q_commutator, sh_dim, sh_scale, sh_unit,
-                      sh_word, shuffle)
+from .shuffle import (ShuffleElement, q_commutator, sh_dim, sh_scale,
+                      sh_word, shuffle, shuffle_letters, word_weight,
+                      words_of_weight)
 
 _GLOBAL_ROOT_CHAR_CACHE: dict[tuple, ShuffleElement] = {}
 
@@ -108,42 +107,26 @@ def dim_standard(lam: KP, pbw: PBWCharacters, trunc: int) -> dict[Word, PowerSer
     return {w: PowerSeries.from_poly(c, trunc).div_poly(div) for w, c in ch.items()}
 
 
-def projective_numerator(j: Word, rs: RootSystem) -> ShuffleElement:
-    """The shuffle j_1 o j_2 o ... o j_n of the single letters of j."""
-    acc = sh_unit()
-    for letter in j:
-        acc = shuffle(acc, sh_word((letter,)), rs)
-    return acc
-
-
-def projective_divisor(j: Word, rs: RootSystem) -> LaurentPoly:
-    """prod_k (1 - q^{2 d_{j_k}}); it depends only on the weight of j."""
+def projective_divisor(weight, rs: RootSystem) -> LaurentPoly:
+    """prod_i (1 - q^{2 d_i})^{weight_i}, shared by every word of the weight."""
     out = LaurentPoly.one()
-    for letter in j:
-        out = out * (LaurentPoly.one() - LaurentPoly.term(1, 2 * rs.d[letter - 1]))
+    for i, c in enumerate(weight):
+        for _ in range(c):
+            out = out * (LaurentPoly.one() - LaurentPoly.term(1, 2 * rs.d[i]))
     return out
 
 
 def char_projective(j: Word, rs: RootSystem, trunc: int) -> dict[Word, PowerSeries]:
     """Character of the left projective H 1_j, to the truncation."""
-    div = projective_divisor(j, rs)
+    div = projective_divisor(word_weight(j, rs), rs)
     return {w: PowerSeries.from_poly(c, trunc).div_poly(div)
-            for w, c in projective_numerator(j, rs).items()}
+            for w, c in shuffle_letters({tuple(j): LaurentPoly.one()}, rs).items()}
 
 
 def dim_H(weight, rs: RootSystem, trunc: int) -> PowerSeries:
     """Graded dimension of the whole algebra at the given weight."""
-    weight = tuple(weight)
-    n = sum(weight)
-    if n > 8:
-        raise ValueError("height too large to enumerate the symmetric group")
-    letters = []
-    for i, c in enumerate(weight):
-        letters.extend([i + 1] * c)
-    total = LaurentPoly.zero()
-    for j in sorted(set(permutations(letters))):
-        total = total + sh_dim(projective_numerator(j, rs))
-    return PowerSeries.from_poly(total, trunc).div_poly(projective_divisor(letters, rs))
+    num = shuffle_letters({w: LaurentPoly.one() for w in words_of_weight(weight)}, rs)
+    return PowerSeries.from_poly(sh_dim(num), trunc).div_poly(projective_divisor(weight, rs))
 
 
 def dim_formula(weight, pbw: PBWCharacters,

@@ -8,6 +8,10 @@ are memoized per root system since they recur heavily across orderings.
 `q_commutator` is the one rank-two building block: the solve for dual root
 vectors divides it, and the length-two check compares it with the root
 character it produces.
+
+`shuffle_letters` is the one fold for shuffles of single letters: it gives
+the numerator of every projective character, of the graded dimension of
+H(alpha) and of a resolution's Euler characteristic.
 """
 
 from __future__ import annotations
@@ -99,10 +103,6 @@ def shuffle(a: ShuffleElement, b: ShuffleElement, rs: RootSystem) -> ShuffleElem
     return out
 
 
-def sh_unit() -> ShuffleElement:
-    return {(): LaurentPoly.one()}
-
-
 def sh_word(word: Word) -> ShuffleElement:
     return {tuple(word): LaurentPoly.one()}
 
@@ -138,6 +138,43 @@ def q_commutator(a: ShuffleElement, b: ShuffleElement, s: int,
                  rs: RootSystem) -> ShuffleElement:
     """a o b - q^s (b o a)."""
     return sh_sub(shuffle(a, b, rs), sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, s)))
+
+
+def shuffle_letters(terms: ShuffleElement, rs: RootSystem) -> ShuffleElement:
+    """sum of c (w_1 o w_2 o ... o w_n) over the words w of terms, c = terms[w].
+
+    With x_p the part of the sum below the prefix p, x_p = sum_a (a) o x_{pa};
+    the prefixes are peeled from the longest down, so words that share a
+    prefix shuffle it once.  Inserting a after the first t letters of u costs
+    q^{-sum_{k<t} (a, u_k)}.  Coefficients stay raw exponent dicts until the end.
+    """
+    B = rs.bilinear_matrix
+    nodes: dict[Word, dict[Word, dict[int, int]]] = {(): {}}
+    for w, c in terms.items():
+        for k in range(len(w) + 1):
+            nodes.setdefault(tuple(w[:k]), {})
+        nodes[tuple(w)][()] = dict(c.c)
+    for p in sorted(nodes, key=len, reverse=True)[:-1]:
+        parent, row, a = nodes[p[:-1]], B[p[-1] - 1], p[-1:]
+        for u, exps in nodes.pop(p).items():
+            e = 0
+            for t in range(len(u) + 1):
+                if t:
+                    e -= row[u[t - 1] - 1]
+                acc = parent.setdefault(u[:t] + a + u[t:], {})
+                for k, v in exps.items():
+                    acc[k + e] = acc.get(k + e, 0) + v
+    out = {w: LaurentPoly({k: v for k, v in d.items() if v}) for w, d in nodes[()].items()}
+    return {w: c for w, c in out.items() if c}
+
+
+def words_of_weight(weight) -> list[Word]:
+    """The distinct words of the given weight, in lexicographic order."""
+    words: list[Word] = [()]
+    for _ in range(sum(weight)):
+        words = [w + (i + 1,) for w in words
+                 for i, c in enumerate(weight) if w.count(i + 1) < c]
+    return words
 
 
 def sh_eq(a: ShuffleElement, b: ShuffleElement) -> bool:

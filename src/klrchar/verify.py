@@ -23,7 +23,7 @@ from .modules import ProperStandard, rank_over
 from .pbw import PBWCharacters, dim_formula
 from .resolutions import euler_matches, resolution, verify_complex
 from .shuffle import (bar, q_commutator, sh_eq, sh_scale, sh_word, shuffle,
-                      word_weight)
+                      word_weight, words_of_weight)
 from . import tables
 
 BALL2_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3),
@@ -296,7 +296,7 @@ def check_a3_resolution(trunc: int = 12) -> dict:
     return _record("a3-resolution", not problems, detail, t0)
 
 
-def check_resolution_sweep(trunc: int = 12) -> dict:
+def check_resolution_sweep() -> dict:
     t0 = time.time()
     failures = []
     total = 0
@@ -312,7 +312,7 @@ def check_resolution_sweep(trunc: int = 12) -> dict:
             cx = resolution(alpha, order, engine)
             if not verify_complex(cx):
                 failures.append(f"{family}{rank} {alpha}: d^2 != 0")
-            elif not euler_matches(cx, order, pbw, trunc):
+            elif not euler_matches(cx, order, pbw):
                 failures.append(f"{family}{rank} {alpha}: Euler mismatch")
     detail = (f"{total} multiplicity-free roots resolved, d^2 = 0 and Euler exact"
               if not failures else f"failed: {failures[:3]}")
@@ -440,10 +440,7 @@ def check_properties(seed: int = 20260809) -> dict:
 def _relation_failures(H: KLR, rs: RootSystem, max_height: int) -> list[str]:
     out = []
     for weight in weights_up_to(rs, max_height):
-        letters = []
-        for i, c in enumerate(weight):
-            letters.extend([i + 1] * c)
-        for word in sorted(set(permutations(letters))):
+        for word in words_of_weight(weight):
             if not _relations_hold_on_word(H, word):
                 out.append(f"{word}")
     return out

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every tolerance is exact (integer/Laurent equality); series identities are
-compared at the stated truncations (q^10 for the dimension formula, q^12 for
-the Euler characteristics).  Runtime budgets from the criteria are asserted
-where stated.
+Every tolerance is exact (integer/Laurent equality); the dimension formula
+is compared as series at the stated truncation q^10, and the Euler
+characteristics are exact identities, so they hold at q^12 too.  Runtime
+budgets from the criteria are asserted where stated.
 """
 
 from klrchar import verify

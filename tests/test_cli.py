@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import klrchar
 from klrchar import cli, verify
 from klrchar.cli import main
 
@@ -97,6 +101,17 @@ def test_resolve_a3(capsys):
     assert doc["differential_squares_to_zero"] is True
     assert doc["euler_matches_standard_character"] is True
     assert doc["terms"][2]["summands"] == [{"shift": 2, "word": "321"}]
+
+
+def test_resolve_a10_words_with_commas(capsys):
+    code, out, _ = run_cli(capsys, "resolve", "--type", "A", "--rank", "10",
+                           "--alpha", "0,0,0,0,0,0,0,0,1,1")
+    assert code == 0
+    doc = json.loads(out)
+    words = [s["word"] for t in doc["terms"] for s in t["summands"]]
+    assert words == ["9,10", "10,9"]
+    entry = doc["differentials"][0]["matrix"][0][0][0]
+    assert entry["word"] == "9,10"
 
 
 def test_resolve_rejects_non_mult_free(capsys):
@@ -218,3 +233,16 @@ def test_verify_jobs_capped(monkeypatch):
     assert cli._worker_count(8) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._worker_count(8) == 1
+
+
+
+def test_import_leaves_recursion_limit_alone():
+    # a fresh interpreter, as this one has imported klrchar already
+    src = os.path.dirname(os.path.dirname(klrchar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = sys.getrecursionlimit(); import klrchar.cli; "
+            "print(before, sys.getrecursionlimit())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.split()
+    assert out[0] == out[1]

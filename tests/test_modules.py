@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
@@ -134,6 +136,39 @@ def test_rank_over():
     assert rank_over([[0, 0], [0, 0]], 0) == 0
     assert rank_over([[2]], 2) == 0
     assert rank_over([[2]], 0) == 1
+
+
+def fraction_free_rank(matrix, p):
+    """Rank by cross-multiplying rows; over F_p every entry is reduced mod p."""
+    rows = [[a % p if p else a for a in r] for r in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        a = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            b = rows[r][col]
+            rows[r] = [a * x - b * y for x, y in zip(rows[r], rows[rank])]
+            if p:
+                rows[r] = [x % p for x in rows[r]]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_rank_over_matches_fraction_free(p):
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        # low-rank products and small entries, so ranks drop often
+        k = rng.randint(0, min(n, m))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        M = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)]
+             for i in range(n)]
+        assert rank_over(M, p) == fraction_free_rank(M, p), (M, p)
 
 
 def test_unsupported_partition_rejected():

@@ -147,10 +147,13 @@ def test_dim_H_examples():
     assert lhs == num.div_poly(d * d)
 
 
-def test_dim_H_height_guard():
-    rs, o, pbw = setup_type("A", 1)
-    with pytest.raises(ValueError):
-        dim_H((9,), rs, 5)
+def test_dim_H_at_height_nine():
+    # no height guard: both sides of the dimension formula agree at height 9
+    for fam, rank, weight in [("G", 2, (3, 6)), ("A", 2, (4, 5))]:
+        rs, o, pbw = setup_type(fam, rank)
+        lhs, rhs = dim_formula(weight, pbw, 10)
+        assert lhs == dim_H(weight, rs, 10)
+        assert lhs == rhs, weight
 
 
 def test_restriction_vanishing_and_top():

@@ -3,10 +3,12 @@ import pytest
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.convex import lyndon_order
 from klrchar.klr import KLR
-from klrchar.laurent import PowerSeries
-from klrchar.pbw import PBWCharacters, dim_standard
-from klrchar.resolutions import (NotMultiplicityFreeError, euler_character,
-                                 euler_matches, resolution, verify_complex)
+from klrchar.laurent import LaurentPoly, PowerSeries
+from klrchar.pbw import PBWCharacters, dim_standard, projective_divisor
+from klrchar.resolutions import (ChainComplex, NotMultiplicityFreeError,
+                                 euler_character, euler_matches, expected_euler,
+                                 resolution, verify_complex)
+from klrchar.shuffle import sh_eq, sh_word, shuffle
 
 
 def setup(fam, rank):
@@ -15,14 +17,49 @@ def setup(fam, rank):
     return rs, o, KLR(rs)
 
 
+def oracle_euler_series(cx, rs, trunc):
+    """Oracle: each summand's character as a truncated series, then the sum.
+
+    A summand's numerator is the pairwise shuffle of its letters, so the
+    letter-shuffle fold is not on this path.
+    """
+    out = {}
+    for d, summands in cx.terms.items():
+        sign = -1 if d % 2 else 1
+        for shift, word in summands:
+            num = {(): LaurentPoly.one()}
+            for letter in word:
+                num = shuffle(num, sh_word((letter,)), rs)
+            div = projective_divisor(cx.alpha, rs)
+            for w, c in num.items():
+                series = PowerSeries.from_poly(c, trunc).div_poly(div)
+                shifted = series * LaurentPoly.term(sign, shift)
+                cur = out.get(w)
+                out[w] = shifted if cur is None else cur + shifted
+    return {w: s for w, s in out.items() if s}
+
+
+def expand(numerators, rs, alpha, trunc):
+    div = projective_divisor(alpha, rs)
+    out = {w: PowerSeries.from_poly(c, trunc).div_poly(div)
+           for w, c in numerators.items()}
+    return {w: s for w, s in out.items() if s}
+
+
+def multiplicity_free(rs):
+    return [a for a in rs.positive_roots if all(c <= 1 for c in a)]
+
+
 def test_simple_root_resolution():
     rs, o, H = setup("A", 2)
     cx = resolution((1, 0), o, H)
     assert cx.terms == {0: [(0, (1,))]}
     assert cx.differentials == {}
     assert verify_complex(cx)
-    got = euler_character(cx, o, 10)
-    assert got == {(1,): PowerSeries({2 * k: 1 for k in range(6)}, 10)}
+    assert oracle_euler_series(cx, rs, 10) == {
+        (1,): PowerSeries({2 * k: 1 for k in range(6)}, 10)}
+    assert euler_character(cx, o) == {(1,): LaurentPoly.one()}
+    assert expected_euler((1, 0), o, PBWCharacters(o)) == {(1,): LaurentPoly.one()}
 
 
 def test_a2_complex():
@@ -32,9 +69,11 @@ def test_a2_complex():
     assert cx.differentials[1] == [[H.monomial((1, 2), (1, 0))]]
     assert verify_complex(cx)
     pbw = PBWCharacters(o)
-    got = euler_character(cx, o, 12)
-    want = dim_standard(((1, 1),), pbw, 12)
-    assert got == want
+    assert oracle_euler_series(cx, rs, 12) == dim_standard(((1, 1),), pbw, 12)
+    # 12 o 1 - q (2 o 1) = (1 - q^2) 12, over D = (1 - q^2)^2
+    want = {(1, 2): LaurentPoly({0: 1, 2: -1})}
+    assert euler_character(cx, o) == want
+    assert expected_euler((1, 1), o, pbw) == want
 
 
 def test_a3_complex_matches_published_form():
@@ -141,3 +180,55 @@ def test_zero_signs_summand_is_base_word():
             word, shift = data[zero]
             assert shift == 0
             assert word == root_word(alpha, o)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 4), ("D", 4), ("D", 5), ("E", 6),
+                                      ("B", 3), ("C", 3), ("F", 4), ("G", 2)])
+def test_exact_euler_matches_series_oracle(fam, rank):
+    rs, o, H = setup(fam, rank)
+    pbw = PBWCharacters(o)
+    for alpha in multiplicity_free(rs):
+        cx = resolution(alpha, o, H)
+        got = euler_character(cx, o)
+        assert expand(got, rs, alpha, 12) == oracle_euler_series(cx, rs, 12), alpha
+        assert sh_eq(got, expected_euler(alpha, o, pbw)), alpha
+
+
+def _altered(cx, terms):
+    return ChainComplex(cx.alpha, terms, cx.differentials, cx.engine)
+
+
+def test_shifted_summand_detected():
+    rs, o, H = setup("D", 4)
+    pbw = PBWCharacters(o)
+    cx = resolution((1, 1, 1, 1), o, H)
+    assert euler_matches(cx, o, pbw)
+    for d in cx.terms:
+        for k, (shift, word) in enumerate(cx.terms[d]):
+            terms = {e: list(s) for e, s in cx.terms.items()}
+            terms[d][k] = (shift + 1, word)
+            assert not euler_matches(_altered(cx, terms), o, pbw), (d, word)
+
+
+def test_dropped_summand_detected():
+    rs, o, H = setup("D", 4)
+    pbw = PBWCharacters(o)
+    cx = resolution((1, 1, 1, 1), o, H)
+    for d in cx.terms:
+        for k in range(len(cx.terms[d])):
+            terms = {e: list(s) for e, s in cx.terms.items()}
+            del terms[d][k]
+            assert not euler_matches(_altered(cx, terms), o, pbw), (d, k)
+
+
+@pytest.mark.parametrize("rank,count", [(7, 34), (8, 44)])
+def test_e7_e8_full_sweep(rank, count):
+    rs, o, H = setup("E", rank)
+    pbw = PBWCharacters(o)
+    roots = multiplicity_free(rs)
+    assert len(roots) == count
+    for alpha in roots:
+        cx = resolution(alpha, o, H)
+        assert verify_complex(cx), alpha
+        assert euler_matches(cx, o, pbw), alpha
+

@@ -7,7 +7,8 @@ from klrchar.convex import lyndon_order, minimal_pairs
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
 from klrchar.shuffle import (bar, deg_stat, q_commutator, restrict_character,
-                             sh_eq, sh_scale, sh_word, shuffle, word_weight)
+                             sh_add, sh_eq, sh_scale, sh_word, shuffle,
+                             shuffle_letters, word_weight, words_of_weight)
 from klrchar.tables import G2_CANONICAL_TABLE, parse_bracket_expr
 
 
@@ -180,3 +181,33 @@ def test_q_commutator_g2_root_identities():
             assert sh_eq(lhs, rhs), (alpha, beta, gamma)
             checked += 1
     assert checked >= 4
+
+
+def test_words_of_weight_matches_permutations():
+    for weight in [(1,), (2, 1), (1, 1, 1), (2, 0, 2), (3, 2, 1), (1, 2, 1, 2), (0, 0)]:
+        letters = [i + 1 for i, c in enumerate(weight) for _ in range(c)]
+        assert words_of_weight(weight) == sorted(set(permutations(letters))), weight
+
+
+def test_shuffle_letters_matches_pairwise_fold():
+    # signed coefficients and words of mixed lengths sharing prefixes
+    rng = random.Random(7)
+    for fam, rank in [("A", 3), ("B", 3), ("G", 2)]:
+        rs = RootSystem(CartanType(fam, rank))
+        for _ in range(10):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                w = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 5)))
+                terms[w] = LaurentPoly.term(rng.choice((-2, -1, 1, 3)), rng.randint(-3, 3))
+            want = {}
+            for w, c in terms.items():
+                acc = {(): LaurentPoly.one()}
+                for letter in w:
+                    acc = shuffle(acc, sh_word((letter,)), rs)
+                want = sh_add(want, sh_scale(acc, c))
+            assert sh_eq(shuffle_letters(terms, rs), want), terms
+    # 1 o 2 - q (2 o 1) = (1 - q^2) 12 in A2: the word 21 cancels, zeros drop
+    rs = RootSystem(CartanType("A", 2))
+    terms = {(1, 2): LaurentPoly.one(), (2, 1): LaurentPoly.term(-1, 1),
+             (1, 1): LaurentPoly.zero()}
+    assert shuffle_letters(terms, rs) == {(1, 2): LaurentPoly({0: 1, 2: -1})}
