@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from .convex import ConvexOrder
 from .kostant import KP, kostant_partitions, kp_less, kp_scalars, kp_sort_key
 from .laurent import ExactDivisionError, LaurentPoly
 from .pbw import PBWCharacters
-from .shuffle import ShuffleElement, sh_add, sh_scale, sh_to_json
+from .shuffle import ShuffleElement, parse_word, sh_add, sh_scale, sh_to_json
 
 
 class CorrectionError(ArithmeticError):
@@ -132,22 +134,22 @@ class CanonicalTable:
         return self.cache_dir / name
 
     def _load_cache(self):
+        """Fill the table from the cache file; an unreadable file is a miss."""
         path = self._cache_path()
         if not path.exists():
             return
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            if doc.get("order") != self.order.fingerprint():
+                return
+            table = {
+                tuple(tuple(part) for part in entry["kp"]): {
+                    parse_word(item["word"]): LaurentPoly.from_json(item["coeff"])
+                    for item in entry["character"]}
+                for entry in doc.get("entries", [])}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return
-        if doc.get("order") != self.order.fingerprint():
-            return
-        for entry in doc.get("entries", []):
-            lam = tuple(tuple(part) for part in entry["kp"])
-            ch: ShuffleElement = {}
-            for item in entry["character"]:
-                word = tuple(int(x) for x in item["word"])
-                ch[word] = LaurentPoly.from_json(item["coeff"])
-            self._table[lam] = ch
+        self._table.update(table)
 
     def _save_cache(self):
         self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -163,7 +165,16 @@ class CanonicalTable:
             "order": self.order.fingerprint(),
             "entries": entries,
         }
-        self._cache_path().write_text(json.dumps(doc, sort_keys=True))
+        # a reader never sees a half-written file
+        path = self._cache_path()
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(doc, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _linear_extension(kps: list[KP], order: ConvexOrder) -> list[KP]:

@@ -24,7 +24,7 @@ from .laurent import LaurentPoly, factor_quantum
 from .modules import ProperStandard, rank_over
 from .pbw import PBWCharacters, dim_formula
 from .resolutions import euler_matches, resolution, verify_complex
-from .shuffle import render_word, sh_to_json
+from .shuffle import parse_word, render_word, sh_to_json
 from . import verify as verify_mod
 
 
@@ -64,11 +64,10 @@ def _parse_eps(text: str | None, rs: RootSystem):
 
 
 def _parse_word(text: str, option: str):
-    """Node labels written as digits ('2121') or comma-separated ('2,1,12')."""
     try:
-        return tuple(int(t) for t in (text.split(",") if "," in text else text))
-    except ValueError:
-        raise ValueError(f"{option} {text!r} is not a word of node labels") from None
+        return parse_word(text)
+    except ValueError as e:
+        raise ValueError(f"{option} {e}") from None
 
 
 def _build_order(args, rs: RootSystem) -> ConvexOrder:

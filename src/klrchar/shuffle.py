@@ -3,11 +3,16 @@
 A shuffle element is a sparse dict word -> LaurentPoly.  The product of two
 words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts crossing
 pairs weighted by minus the form on the letters.  Single word-pair products
-are memoized per root system since they recur heavily across orderings.
+are enumerated depth first from an explicit stack and memoized per root
+system, since they recur heavily across orderings.
 
-`q_commutator` is the one rank-two building block: the solve for dual root
-vectors divides it, and the length-two check compares it with the root
-character it produces.
+`shuffle` and `q_commutator` share one pass over the word pairs, which adds
+into raw exponent dicts that become Laurent polynomials once, at the end.
+`q_commutator(a, b, s) = a o b - q^s (b o a)` enumerates each pair once: by
+the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), it reads the exponents of
+v o u off those of u o v.  It is the one rank-two building block: the solve
+for dual root vectors divides it, and the length-two check compares it with
+the root character it produces.
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
@@ -62,45 +67,70 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
             acc -= B[i[a] - 1][jb]
             suffix_cost[a][b] = acc
     out: dict[Word, dict[int, int]] = {}
-
-    def rec(a, b, prefix, exp):
-        if a == m:
-            word = prefix + j[b:]
-            d = out.setdefault(word, {})
-            d[exp] = d.get(exp, 0) + 1
-            return
-        if b == n:
-            word = prefix + i[a:]
-            d = out.setdefault(word, {})
-            d[exp] = d.get(exp, 0) + 1
-            return
-        rec(a + 1, b, prefix + (i[a],), exp)
-        rec(a, b + 1, prefix + (j[b],), exp + suffix_cost[a][b])
-
-    rec(0, 0, (), 0)
+    # depth first, the branch taking i[a] before the one taking j[b]
+    stack = [(0, 0, (), 0)]
+    while stack:
+        a, b, prefix, exp = stack.pop()
+        if a == m or b == n:
+            word = prefix + i[a:] + j[b:]
+            d = out.get(word)
+            if d is None:
+                out[word] = {exp: 1}
+            else:
+                d[exp] = d.get(exp, 0) + 1
+            continue
+        stack.append((a, b + 1, prefix + (j[b],), exp + suffix_cost[a][b]))
+        stack.append((a + 1, b, prefix + (i[a],), exp))
     cache[key] = out
     return out
 
 
-def shuffle(a: ShuffleElement, b: ShuffleElement, rs: RootSystem) -> ShuffleElement:
+def _finish(acc: dict[Word, dict[int, int]]) -> ShuffleElement:
+    """Raw exponent dicts to an element, dropping zero terms and zero words."""
     out: ShuffleElement = {}
-    for wi, ci in a.items():
-        for wj, cj in b.items():
-            coeff = ci * cj
-            if not coeff:
-                continue
-            for word, exps in _pair_shuffle(wi, wj, rs).items():
-                extra = LaurentPoly(dict(exps)) * coeff
-                cur = out.get(word)
-                if cur is None:
-                    out[word] = extra
-                else:
-                    cur = cur + extra
-                    if cur:
-                        out[word] = cur
-                    else:
-                        del out[word]
+    for w, d in acc.items():
+        c = {k: v for k, v in d.items() if v}
+        if c:
+            out[w] = LaurentPoly(c)
     return out
+
+
+def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
+                  s: int | None) -> ShuffleElement:
+    """a o b, or with s given a o b - q^s (b o a), in one pass over the word pairs.
+
+    By the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), an interleaving with
+    exponent e in u o v has exponent -(|u|,|v|) - e in v o u, so each pair
+    (u, v) is enumerated once for both products.
+    """
+    B = rs.bilinear_matrix
+    twist = s is not None
+    # (|u|,|v|) is the sum of (B|v|)_x over the letters x of u
+    b_form = {v: [sum(B[y - 1][x] for y in v) for x in range(rs.rank)] for v in b}
+    acc: dict[Word, dict[int, int]] = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            c = list((cu * cv).c.items())
+            if not c:
+                continue
+            if twist:
+                t = s - sum(b_form[v][x - 1] for x in u)
+            for word, exps in _pair_shuffle(u, v, rs).items():
+                d = acc.get(word)
+                if d is None:
+                    d = acc[word] = {}
+                for e, n in exps.items():
+                    for k, x in c:
+                        f, x = k + e, n * x
+                        d[f] = d.get(f, 0) + x
+                        if twist:
+                            f = k + t - e
+                            d[f] = d.get(f, 0) - x
+    return _finish(acc)
+
+
+def shuffle(a: ShuffleElement, b: ShuffleElement, rs: RootSystem) -> ShuffleElement:
+    return _shuffle_pass(a, b, rs, None)
 
 
 def sh_word(word: Word) -> ShuffleElement:
@@ -136,8 +166,8 @@ def sh_sub(a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
 
 def q_commutator(a: ShuffleElement, b: ShuffleElement, s: int,
                  rs: RootSystem) -> ShuffleElement:
-    """a o b - q^s (b o a)."""
-    return sh_sub(shuffle(a, b, rs), sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, s)))
+    """a o b - q^s (b o a), each word pair of a and b enumerated once."""
+    return _shuffle_pass(a, b, rs, s)
 
 
 def shuffle_letters(terms: ShuffleElement, rs: RootSystem) -> ShuffleElement:
@@ -164,8 +194,7 @@ def shuffle_letters(terms: ShuffleElement, rs: RootSystem) -> ShuffleElement:
                 acc = parent.setdefault(u[:t] + a + u[t:], {})
                 for k, v in exps.items():
                     acc[k + e] = acc.get(k + e, 0) + v
-    out = {w: LaurentPoly({k: v for k, v in d.items() if v}) for w, d in nodes[()].items()}
-    return {w: c for w, c in out.items() if c}
+    return _finish(nodes[()])
 
 
 def words_of_weight(weight) -> list[Word]:
@@ -224,6 +253,14 @@ def restrict_character(a: ShuffleElement, parts, rs: RootSystem):
 
 def render_word(w: Word) -> str:
     return "".join(map(str, w)) if all(x <= 9 for x in w) else ",".join(map(str, w))
+
+
+def parse_word(text: str) -> Word:
+    """The inverse of render_word: digits ('2121') or comma-separated labels ('9,10')."""
+    try:
+        return tuple(int(t) for t in (text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(f"{text!r} is not a word of node labels") from None
 
 
 def sh_to_json(a: ShuffleElement) -> list[dict]:

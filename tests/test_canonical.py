@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -135,6 +136,40 @@ def test_cache_roundtrip(tmp_path):
     for lam in t1.compute_weight((3, 2)):
         assert lam in t2._table
         assert sh_eq(t2.char(lam), t1.char(lam))
+
+
+class RefusingPBW:
+    """A PBW table that refuses to compute: a reloaded table must not need it."""
+
+    def __getattr__(self, name):
+        raise RuntimeError(f"reloaded table tried to compute ({name})")
+
+
+def test_cache_roundtrip_labels_ten_and_up(tmp_path):
+    # the stored words of A10 at a9 + a10 are written "9,10" and "10,9"
+    rs = RootSystem(CartanType("A", 10))
+    o = lyndon_order(rs)
+    weight = (0,) * 8 + (1, 1)
+    t1 = CanonicalTable(o, cache_dir=tmp_path)
+    kps = t1.compute_weight(weight)
+    assert any(max(w) >= 10 for lam in kps for w in t1.char(lam))
+    t2 = CanonicalTable(o, pbw=RefusingPBW(), cache_dir=tmp_path)
+    for lam in kps:
+        assert sh_eq(t2.char(lam), t1.char(lam))
+    # the file is replaced whole, with no temporary file left beside it
+    assert [f.name for f in tmp_path.iterdir()] == [t1._cache_path().name]
+
+
+def test_unreadable_cache_is_a_miss(tmp_path):
+    rs = RootSystem(CartanType("G", 2))
+    o = lyndon_order(rs)
+    path = CanonicalTable(o, cache_dir=tmp_path)._cache_path()
+    for text in ("{", "[]", json.dumps({"order": o.fingerprint(),
+                                        "entries": [{"kp": [[1, 0]]}]})):
+        path.write_text(text)
+        table = CanonicalTable(o, cache_dir=tmp_path)
+        assert table._table == {}
+        assert table.char(((1, 1),))
 
 
 def test_works_for_word_orderings():

@@ -152,6 +152,18 @@ def test_cache_dir(tmp_path, capsys):
     assert list(tmp_path.glob("canonical-*.json"))
 
 
+def test_cache_dir_labels_ten_and_up(tmp_path, capsys):
+    # the second run reads the words "9,10" and "10,9" back from the cache
+    argv = ("canonical", "--type", "A", "--rank", "10",
+            "--alpha", "0,0,0,0,0,0,0,0,1,1", "--cache-dir", str(tmp_path))
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "10,9" in first
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert second == first
+
+
 def test_config_file_flags_win(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"type": "G", "rank": 2}))

@@ -7,7 +7,7 @@ from klrchar.convex import lyndon_order, minimal_pairs
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
 from klrchar.shuffle import (bar, deg_stat, q_commutator, restrict_character,
-                             sh_add, sh_eq, sh_scale, sh_word, shuffle,
+                             sh_add, sh_eq, sh_scale, sh_sub, sh_word, shuffle,
                              shuffle_letters, word_weight, words_of_weight)
 from klrchar.tables import G2_CANONICAL_TABLE, parse_bracket_expr
 
@@ -159,6 +159,58 @@ def test_q_commutator_a2():
     assert got == {(1, 2): LaurentPoly({0: 1, 2: -1})}
     assert q_commutator(sh_word((1,)), sh_word((2,)), 0, rs) == {
         (1, 2): LaurentPoly({0: 1, 1: -1}), (2, 1): LaurentPoly({1: 1, 0: -1})}
+
+
+def _signed_element(rng, rank):
+    """Seeded signed terms on words of mixed weights and lengths."""
+    out = {}
+    for _ in range(rng.randint(1, 4)):
+        w = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 4)))
+        c = LaurentPoly({rng.randint(-3, 3): rng.choice((-2, -1, 1, 3)),
+                         rng.randint(-3, 3): rng.choice((-1, 1))})
+        if c:
+            out[w] = c
+    return out
+
+
+def test_q_commutator_is_the_two_shuffle_definition():
+    rng = random.Random(23)
+    for fam, rank in [("A", 2), ("B", 3), ("G", 2), ("F", 4)]:
+        rs = RootSystem(CartanType(fam, rank))
+        for _ in range(12):
+            a, b = _signed_element(rng, rank), _signed_element(rng, rank)
+            s = rng.randint(-4, 4)
+            want = sh_sub(shuffle(a, b, rs),
+                          sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, s)))
+            got = q_commutator(a, b, s, rs)
+            assert sh_eq(got, want), (fam, a, b, s)
+            assert all(got.values())
+
+
+def test_q_commutator_cancels_to_empty():
+    rng = random.Random(29)
+    for fam, rank in [("B", 3), ("G", 2)]:
+        rs = RootSystem(CartanType(fam, rank))
+        for _ in range(5):
+            a = _signed_element(rng, rank)
+            assert q_commutator(a, a, 0, rs) == {}
+    # letters with (a_1, a_3) = 0 commute in A3
+    rs = RootSystem(CartanType("A", 3))
+    assert q_commutator(sh_word((1,)), sh_word((3,)), 0, rs) == {}
+
+
+def test_shuffle_drops_cancelled_word():
+    # (1 - q^-1 2) o (2 + 1): the word 12 gets 1 - q^-1 q = 0 in A2
+    rs = RootSystem(CartanType("A", 2))
+    a = {(1,): LaurentPoly.one(), (2,): LaurentPoly.term(-1, -1)}
+    b = {(2,): LaurentPoly.one(), (1,): LaurentPoly.one()}
+    got = shuffle(a, b, rs)
+    assert (1, 2) not in got
+    want = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            want = sh_add(want, sh_scale(brute_shuffle(u, v, rs), cu * cv))
+    assert got == want
 
 
 def test_q_commutator_g2_root_identities():

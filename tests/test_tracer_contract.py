@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from klrchar import CartanType, RootSystem, lyndon_order
+from klrchar import canonical
 from klrchar import pbw as pbw_mod
 from klrchar import resolutions
 
@@ -27,6 +28,8 @@ def tracer():
 
 
 def test_every_wrapped_name_resolves(tracer):
+    # sh_sub among them: no computing path calls it any more, but it stays
+    # public for the tracer and as the tests' two-shuffle oracle
     for layer, entries in tracer.WRAPPED.items():
         for module_name, cls_name, names in entries:
             module = importlib.import_module(module_name)
@@ -47,16 +50,25 @@ def test_wrapped_names_stay_on_their_call_paths(tracer, monkeypatch):
         pbw = pbw_mod.PBWCharacters(order)
         cx = resolutions.resolution((1, 1, 1), order)
         assert resolutions.euler_matches(cx, order, pbw, 8)
+        solve_pairs = t.calls["shuffle._pair_shuffle"]
         pbw_mod.dim_standard(((1, 1, 1),), pbw, 8)
         # the exact Euler check no longer goes through char_projective
         pbw_mod.char_projective((1, 2, 3), rs, 8)
+        # the solve's one-pass q-commutator calls no element shuffle:
+        # shuffle is reached through a two-part proper standard character,
+        # sh_add through the correction loop
+        assert t.calls["shuffle.shuffle"] == 0
+        pbw.proper_standard(((0, 1, 0), (1, 0, 0)))
+        canonical.CanonicalTable(lyndon_order(RootSystem(CartanType("A", 2)))
+                                 ).compute_weight((1, 1))
     finally:
         t.uninstall()
+    assert solve_pairs > 0
     for key in ("pbw._solve", "pbw.char_projective", "pbw.dim_standard",
-                "resolutions.euler_matches", "resolutions.euler_character",
-                "resolutions.expected_euler", "pbw.standard_divisor",
-                "shuffle.shuffle", "shuffle._pair_shuffle", "shuffle.sh_add",
-                "shuffle.sh_scale", "shuffle.sh_sub"):
+                "pbw.proper_standard", "resolutions.euler_matches",
+                "resolutions.euler_character", "resolutions.expected_euler",
+                "pbw.standard_divisor", "shuffle.shuffle", "shuffle._pair_shuffle",
+                "shuffle.sh_add", "shuffle.sh_scale", "canonical.correction"):
         assert t.calls[key] > 0, key
     metrics = t.metrics()
     assert metrics["shuffle.pair_computed"] > 0
