@@ -1,10 +1,12 @@
 """The dual canonical basis via the correction algorithm.
 
-Starting from a dual PBW character, the bar-failure of the coefficient at
-each distinguished word i_mu (mu running over smaller Kostant partitions,
-scanned from the top of a linear extension) is cancelled by subtracting the
-unique multiple c(q) in qZ[q] of the already-known character at mu.  The
-result is bar-invariant at every inspected word.
+Starting from the dual PBW character r*_lambda, the Kostant partitions
+mu < lambda are scanned once from the top of the display order, a linear
+extension of the KP order.  Where the coefficient at the distinguished word
+i_mu is not bar-invariant, the unique multiple c(q) in qZ[q] of b*_mu that
+cancels its bar-failure is subtracted.  b*_mu vanishes at i_nu unless
+nu <= mu, so no coefficient fixed earlier moves; the result is checked to be
+bar-invariant at every i_mu before it is returned.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import tempfile
 from pathlib import Path
 
 from .convex import ConvexOrder
-from .kostant import KP, kostant_partitions, kp_less, kp_scalars, kp_sort_key
+from .kostant import KP, kostant_partitions, kp_less, kp_scalars, kp_sort_key, sum_weight
 from .laurent import ExactDivisionError, LaurentPoly
 from .pbw import PBWCharacters
-from .shuffle import ShuffleElement, parse_word, sh_add, sh_scale, sh_to_json
+from .shuffle import ShuffleElement, parse_word, render_word, sh_add, sh_scale, sh_to_json
 
 
 class CorrectionError(ArithmeticError):
@@ -51,12 +53,11 @@ class CanonicalTable:
     """Dual canonical characters for every Kostant partition of a weight."""
 
     def __init__(self, order: ConvexOrder, pbw: PBWCharacters | None = None,
-                 cache_dir: str | Path | None = None, max_rounds_factor: int = 4):
+                 cache_dir: str | Path | None = None):
         self.order = order
         self.rs = order.rs
         self.pbw = pbw if pbw is not None else PBWCharacters(order)
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.max_rounds_factor = max_rounds_factor
         self._table: dict[KP, ShuffleElement] = {}
         self._weights_done: set[tuple] = set()
         if self.cache_dir:
@@ -68,8 +69,6 @@ class CanonicalTable:
         hit = self._table.get(lam)
         if hit is not None:
             return hit
-        from .kostant import sum_weight
-
         self.compute_weight(sum_weight(lam, self.rs))
         return self._table[lam]
 
@@ -79,16 +78,16 @@ class CanonicalTable:
         Returns the partitions in the deterministic display order.
         """
         weight = tuple(weight)
+        # the rank sequences in lexicographic order extend the KP order:
+        # kp_less compares the first differing part by the same rank
         kps = sorted(kostant_partitions(weight, self.order),
                      key=lambda l: kp_sort_key(l, self.order))
         if weight in self._weights_done:
             return kps
-        # linear extension of the KP order: process smaller lambdas first
-        order_ext = _linear_extension(kps, self.order)
         fresh = False
-        for lam in order_ext:
+        for lam in kps:
             if lam not in self._table:
-                self._table[lam] = self._leclerc(lam, order_ext)
+                self._table[lam] = self._leclerc(lam, kps)
                 fresh = True
         self._weights_done.add(weight)
         if fresh and self.cache_dir:
@@ -97,33 +96,21 @@ class CanonicalTable:
 
     # -- the algorithm -------------------------------------------------------
 
-    def _leclerc(self, lam: KP, order_ext: list[KP]) -> ShuffleElement:
+    def _leclerc(self, lam: KP, kps: list[KP]) -> ShuffleElement:
+        """b*_lam from r*_lam, given b*_mu for every mu < lam in kps (sorted)."""
         chi = self.pbw.proper_standard(lam)
-        below = [mu for mu in order_ext
-                 if mu != lam and kp_less(mu, lam, self.order)]
-        scalars = {mu: kp_scalars(mu, self.order) for mu in below}
-        span = _degree_span(chi)
-        max_rounds = self.max_rounds_factor * max(1, len(below)) * max(1, span)
-        rounds = 0
-        while True:
-            target = None
-            # scan a fixed linear extension from the top; the first
-            # non-bar-invariant coefficient found belongs to a maximal mu
-            for mu in reversed(below):
-                a = chi.get(scalars[mu][3])
-                if a is not None and not a.is_bar_invariant():
-                    target = mu
-                    break
-            if target is None:
-                break
-            rounds += 1
-            if rounds > max_rounds:
+        below = [(mu, kp_scalars(mu, self.order)) for mu in kps
+                 if kp_less(mu, lam, self.order)]
+        for mu, (_, _, kappa, word) in reversed(below):
+            a = chi.get(word)
+            if a is not None and not a.is_bar_invariant():
+                chi = sh_add(chi, sh_scale(self._table[mu], -correction(a, kappa)))
+        for mu, (_, _, _, word) in below:
+            a = chi.get(word)
+            if a is not None and not a.is_bar_invariant():
                 raise CorrectionError(
-                    f"correction loop exceeded {max_rounds} rounds at {lam}"
-                )
-            _, _, kappa, word = scalars[target]
-            c = correction(chi[word], kappa)
-            chi = sh_add(chi, sh_scale(self._table[target], -c))
+                    f"order {self.order.label}: b*_{lam} is not bar-invariant at "
+                    f"i_mu = {render_word(word)} of mu = {mu}: {a}")
         return chi
 
     # -- persistent cache ----------------------------------------------------
@@ -176,27 +163,3 @@ class CanonicalTable:
             os.unlink(tmp)
             raise
 
-
-def _linear_extension(kps: list[KP], order: ConvexOrder) -> list[KP]:
-    """Topological sort of the KP poset, smallest first, deterministic."""
-    kps = sorted(kps, key=lambda l: kp_sort_key(l, order))
-    placed: list[KP] = []
-    remaining = list(kps)
-    while remaining:
-        for lam in remaining:
-            if not any(kp_less(mu, lam, order) for mu in remaining if mu != lam):
-                placed.append(lam)
-                remaining.remove(lam)
-                break
-        else:
-            raise RuntimeError("cycle in KP order")
-    return placed
-
-
-def _degree_span(chi: ShuffleElement) -> int:
-    lo, hi = 0, 0
-    for c in chi.values():
-        if c:
-            lo = min(lo, c.min_exp())
-            hi = max(hi, c.max_exp())
-    return hi - lo + 1

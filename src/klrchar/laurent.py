@@ -178,10 +178,14 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def quantum_factors(p: LaurentPoly, max_n: int = 12) -> list[tuple[int, int]] | None:
+QUANTUM_FACTOR_MAX_N = 12
+
+
+def quantum_factors(p: LaurentPoly) -> list[tuple[int, int]] | None:
     """Factor a positive bar-invariant polynomial as a product of [n] in q^d.
 
-    Returns (n, d) pairs or None when no such factorization is found.
+    Returns (n, d) pairs with n <= QUANTUM_FACTOR_MAX_N, or None when no such
+    factorization is found.
     Depth-first search over candidate factors; fine for table-sized inputs.
     """
     if p == LaurentPoly.one():
@@ -190,12 +194,12 @@ def quantum_factors(p: LaurentPoly, max_n: int = 12) -> list[tuple[int, int]] | 
         return None
     top = p.max_exp()
     for d in range(top, 0, -1):
-        for n in range(min(max_n, top // d + 1), 1, -1):
+        for n in range(min(QUANTUM_FACTOR_MAX_N, top // d + 1), 1, -1):
             try:
                 q = p.exact_div(LaurentPoly.qint(n, d))
             except ExactDivisionError:
                 continue
-            rest = quantum_factors(q, max_n)
+            rest = quantum_factors(q)
             if rest is not None:
                 return sorted(rest + [(n, d)], key=lambda t: (t[1], t[0]))
     return None

@@ -20,6 +20,7 @@ from .cartan import Root, RootSystem
 from .convex import ConvexOrder, Word, good_lyndon_words
 from .klr import (KLR, Perm, apply_perm_word, canon_word, perm_id,
                   perm_len, perm_of_word)
+from .kostant import kp_scalars
 from .pbw import PBWCharacters
 
 
@@ -82,7 +83,7 @@ class ProperStandard:
     """The induced module attached to a Kostant partition, standard basis."""
 
     def __init__(self, engine: KLR, order: ConvexOrder, lam: tuple[Root, ...],
-                 pbw: PBWCharacters | None = None, check_cuspidal: bool = True):
+                 pbw: PBWCharacters | None = None):
         self.engine = engine
         self.rs = engine.rs
         self.order = order
@@ -96,16 +97,13 @@ class ProperStandard:
         except NotHomogeneousError as e:
             raise UnsupportedPartitionError(
                 f"a cuspidal factor is not homogeneous: {e}") from e
-        if check_cuspidal:
-            tab = pbw if pbw is not None else PBWCharacters(order)
-            for b, rep in zip(self.lam, self.reps):
-                expected = {w: 1 for w in rep.words}
-                ch = tab.dual_root(b)
-                got = {w: c.c for w, c in ch.items()}
-                if got != {w: {0: 1} for w in expected}:
-                    raise UnsupportedPartitionError(
-                        f"cuspidal module for {b} is not homogeneous under this ordering"
-                    )
+        tab = pbw if pbw is not None else PBWCharacters(order)
+        for b, rep in zip(self.lam, self.reps):
+            got = {w: c.c for w, c in tab.dual_root(b).items()}
+            if got != {w: {0: 1} for w in rep.words}:
+                raise UnsupportedPartitionError(
+                    f"cuspidal module for {b} is not homogeneous under this ordering"
+                )
         self.sizes = [sum(b) for b in self.lam]
         self.n = sum(self.sizes)
         self.offsets = []
@@ -113,10 +111,7 @@ class ProperStandard:
         for s in self.sizes:
             self.offsets.append(off)
             off += s
-        self.s_shift = sum(
-            self.rs.d_root(b) * m * (m - 1) // 2
-            for b, m in _mults(self.lam).items()
-        )
+        self.s_shift = kp_scalars(self.lam, order)[1]
         self.y = self._build_y()
         self.x = self._build_x()
 
@@ -323,7 +318,7 @@ class ProperStandard:
         basis.sort(key=lambda bw: (perm_len(bw[0]), bw[0], bw[1]))
         return basis
 
-    def pair_cyclicward(self, vec: dict, words_rhs, sign: int = 1) -> int:
+    def pair_cyclicward(self, vec: dict, words_rhs) -> int:
         """<vec, 1 (x) v_{words_rhs}> by the projection recipe."""
         total = 0
         for (u, words), c in vec.items():
@@ -331,26 +326,19 @@ class ProperStandard:
                 continue
             if all(words[self.y[t]] == words_rhs[t] for t in range(len(self.lam))):
                 total += c
-        return sign * total
+        return total
 
-    def pair_basis(self, left, right, sign: int = 1) -> int:
+    def pair_basis(self, left, right) -> int:
         """Contravariant pairing of two standard basis vectors."""
         u2, w2 = right
         vec = {tuple(left): 1}
         vec = self.act_transposed_word(canon_word(u2), vec)
-        return self.pair_cyclicward(vec, w2, sign)
+        return self.pair_cyclicward(vec, w2)
 
-    def gram_matrix(self, word: Word, degree: int = 0, sign: int = 1):
+    def gram_matrix(self, word: Word, degree: int = 0):
         rows = self.slice_basis(word, degree)
         cols = rows if degree == 0 else self.slice_basis(word, -degree)
-        return [[self.pair_basis(r, c, sign) for c in cols] for r in rows]
-
-
-def _mults(lam):
-    m: dict[Root, int] = {}
-    for b in lam:
-        m[b] = m.get(b, 0) + 1
-    return m
+        return [[self.pair_basis(r, c) for c in cols] for r in rows]
 
 
 def rank_over(matrix, p: int = 0) -> int:

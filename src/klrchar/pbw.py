@@ -23,9 +23,8 @@ from .cartan import Root, RootSystem, p_max
 from .convex import ConvexOrder, Word, mp_choice, mp_fingerprint
 from .kostant import KP, kostant_partitions, kp_scalars, multiplicities
 from .laurent import ExactDivisionError, LaurentPoly, PowerSeries
-from .shuffle import (ShuffleElement, q_commutator, sh_dim, sh_scale,
-                      sh_word, shuffle, shuffle_letters, word_weight,
-                      words_of_weight)
+from .shuffle import (ShuffleElement, q_commutator, sh_dim, sh_word, shuffle,
+                      shuffle_letters, word_weight, words_of_weight)
 
 _GLOBAL_ROOT_CHAR_CACHE: dict[tuple, ShuffleElement] = {}
 
@@ -87,7 +86,7 @@ class PBWCharacters:
             out = ch if out is None else shuffle(out, ch, self.rs)
         if out is None:
             out = sh_word(())
-        return sh_scale(out, LaurentPoly.term(1, s))
+        return {w: c.shift(s) for w, c in out.items()}
 
 
 def standard_divisor(lam: KP, rs: RootSystem) -> LaurentPoly:

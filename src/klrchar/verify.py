@@ -28,6 +28,9 @@ from . import tables
 
 BALL2_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3),
                ("D", 4), ("F", 4), ("G", 2)]
+# random reduced-word orders per type, beside the Lyndon order
+BALL2_ORDERS = 100
+LENGTH_TWO_ORDERS = 8
 
 _RS_CACHE: dict[tuple[str, int], RootSystem] = {}
 
@@ -109,7 +112,7 @@ def check_lyndon_words() -> dict:
 
 # -- 3: scale-factor divisibility ----------------------------------------------
 
-def check_ball2(seed: int = 20260809, n_orders: int = 100) -> dict:
+def check_ball2(seed: int = 20260809) -> dict:
     t0 = time.time()
     failures = []
     total = 0
@@ -117,7 +120,7 @@ def check_ball2(seed: int = 20260809, n_orders: int = 100) -> dict:
         rs = get_rs(family, rank)
         rng = random.Random(seed + rank * 1000 + ord(family))
         orders = [lyndon_order(rs)]
-        for _ in range(n_orders):
+        for _ in range(BALL2_ORDERS):
             orders.append(order_from_reduced_word(random_reduced_word(rs, rng), rs))
         for order in orders:
             pbw = PBWCharacters(order)
@@ -134,7 +137,7 @@ def check_ball2(seed: int = 20260809, n_orders: int = 100) -> dict:
 
 # -- 4: the length-two character identity ---------------------------------------
 
-def check_length_two(seed: int = 20260809, n_orders: int = 8) -> dict:
+def check_length_two(seed: int = 20260809) -> dict:
     t0 = time.time()
     failures = []
     total = 0
@@ -142,7 +145,7 @@ def check_length_two(seed: int = 20260809, n_orders: int = 8) -> dict:
         rs = get_rs(family, rank)
         rng = random.Random(seed + rank * 977 + ord(family))
         orders = [lyndon_order(rs)]
-        for _ in range(n_orders):
+        for _ in range(LENGTH_TWO_ORDERS):
             orders.append(order_from_reduced_word(random_reduced_word(rs, rng), rs))
         for order in orders:
             pbw = PBWCharacters(order)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,11 +7,11 @@ import pytest
 from klrchar import tables
 from klrchar.canonical import CanonicalTable, CorrectionError, correction
 from klrchar.cartan import CartanType, RootSystem
-from klrchar.convex import lyndon_order, order_from_reduced_word
-from klrchar.kostant import kostant_partitions, kp_less, kp_scalars
+from klrchar.convex import lyndon_order, order_from_reduced_word, random_reduced_word
+from klrchar.kostant import kostant_partitions, kp_less, kp_scalars, kp_sort_key
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
-from klrchar.shuffle import sh_eq, sh_sub
+from klrchar.shuffle import sh_add, sh_eq, sh_sub
 
 
 def test_correction_examples():
@@ -71,8 +72,6 @@ def test_bar_invariance_and_word_coefficients():
 def test_unitriangular_over_dual_pbw():
     # solve b* = sum c_mu r*_mu through the distinguished words; the
     # coefficients must be 1 at lambda and in qZ[q] strictly below
-    from klrchar.canonical import _linear_extension
-
     for fam, rank in [("A", 3), ("G", 2)]:
         rs = RootSystem(CartanType(fam, rank))
         o = lyndon_order(rs)
@@ -84,7 +83,7 @@ def test_unitriangular_over_dual_pbw():
                 residue = dict(table.char(lam))
                 coeffs = {}
                 # peel maximal partitions first
-                remaining = list(reversed(_linear_extension(kps, o)))
+                remaining = sorted(kps, key=lambda l: kp_sort_key(l, o), reverse=True)
                 guard = 0
                 while True:
                     guard += 1
@@ -172,11 +171,41 @@ def test_unreadable_cache_is_a_miss(tmp_path):
         assert table.char(((1, 1),))
 
 
+def test_sort_order_extends_kp_order():
+    # the one correction pass relies on it: every mu < lambda sorts earlier
+    for fam, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
+        rs = RootSystem(CartanType(fam, rank))
+        rng = random.Random(11)
+        orders = [lyndon_order(rs)] + [
+            order_from_reduced_word(random_reduced_word(rs, rng), rs) for _ in range(3)]
+        weights = [w for w in itertools.product(range(6), repeat=rank) if 0 < sum(w) <= 5]
+        for o in orders:
+            for weight in weights:
+                kps = sorted(kostant_partitions(weight, o), key=lambda l: kp_sort_key(l, o))
+                for i, lam in enumerate(kps):
+                    for later in kps[i + 1:]:
+                        assert not kp_less(later, lam, o), (fam, o.label, later, lam)
+
+
+def test_corrupted_lower_entry_is_reported():
+    # b*_mu wrong at i_nu, nu above mu in the scan: subtracting a multiple of
+    # b*_mu breaks the coefficient of b*_lam at i_nu after it was fixed
+    rs = RootSystem(CartanType("G", 2))
+    o = lyndon_order(rs)
+    table = CanonicalTable(o)
+    kps = table.compute_weight((3, 2))
+    mu, nu, lam = ((3, 2),), ((1, 1), (2, 1)), ((0, 1), (2, 1), (1, 0))
+    word = kp_scalars(nu, o)[3]
+    table._table[mu] = sh_add(table._table[mu], {word: LaurentPoly.term(1, 1)})
+    with pytest.raises(CorrectionError, match=r"order lyndon: .*\(0, 1\), \(2, 1\), "
+                                              r"\(1, 0\).* i_mu = 12112 of mu = "
+                                              r"\(\(1, 1\), \(2, 1\)\)"):
+        table._leclerc(lam, kps)
+
+
 def test_works_for_word_orderings():
     rng = random.Random(5)
     rs = RootSystem(CartanType("B", 3))
-    from klrchar.convex import random_reduced_word
-
     for _ in range(3):
         o = order_from_reduced_word(random_reduced_word(rs, rng), rs)
         table = CanonicalTable(o)

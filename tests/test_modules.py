@@ -326,7 +326,7 @@ def test_willcex_rank_in_standard_basis():
     from klrchar import verify
 
     M = verify.willcex_module()
-    G = M.gram_matrix(verify.WILLCEX_WORD, 0, sign=-1)
+    G = M.gram_matrix(verify.WILLCEX_WORD, 0)
     assert len(G) == 5
     assert rank_over(G, 0) == 3
     assert rank_over(G, 2) == 2
