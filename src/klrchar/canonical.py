@@ -1,12 +1,16 @@
 """The dual canonical basis via the correction algorithm.
 
-Starting from the dual PBW character r*_lambda, the Kostant partitions
-mu < lambda are scanned once from the top of the display order, a linear
-extension of the KP order.  Where the coefficient at the distinguished word
-i_mu is not bar-invariant, the unique multiple c(q) in qZ[q] of b*_mu that
-cancels its bar-failure is subtracted.  b*_mu vanishes at i_nu unless
-nu <= mu, so no coefficient fixed earlier moves; the result is checked to be
-bar-invariant at every i_mu before it is returned.
+b*_lambda is the dual PBW character E*_lambda minus multiples c_mu(q) in
+qZ[q] of the b*_mu, mu < lambda, chosen so that its coefficients at the
+distinguished words i_mu are bar-invariant.  Only those coefficients are
+read, so the correction runs on the vector vec[nu] = E*_lambda[i_nu] over the
+nu < lambda.  The mu are scanned once from the top of the display order, a
+linear extension of the KP order.  Where vec[mu] is not bar-invariant,
+c_mu = correction(vec[mu], kappa_mu), and c_mu b*_mu[i_kappa] is subtracted
+from vec[kappa] for every kappa at or below mu in that order.  b*_mu vanishes
+at i_nu unless nu <= mu, so no entry fixed earlier moves.  The character
+E*_lambda - sum c_mu b*_mu is then assembled once, in raw exponent dicts, and
+checked at every i_mu to equal the vector and to be bar-invariant.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ import os
 import tempfile
 from pathlib import Path
 
-from .convex import ConvexOrder
+from .convex import ConvexOrder, Word
 from .kostant import KP, kostant_partitions, kp_less, kp_scalars, kp_sort_key, sum_weight
 from .laurent import ExactDivisionError, LaurentPoly
 from .pbw import PBWCharacters
-from .shuffle import ShuffleElement, parse_word, render_word, sh_add, sh_scale, sh_to_json
+from .shuffle import ShuffleElement, _finish, parse_word, render_word, sh_to_json
 
 
 class CorrectionError(ArithmeticError):
@@ -84,34 +88,61 @@ class CanonicalTable:
                      key=lambda l: kp_sort_key(l, self.order))
         if weight in self._weights_done:
             return kps
-        fresh = False
-        for lam in kps:
-            if lam not in self._table:
-                self._table[lam] = self._leclerc(lam, kps)
-                fresh = True
+        todo = [lam for lam in kps if lam not in self._table]
+        if todo:
+            scalars = {mu: kp_scalars(mu, self.order) for mu in kps}
+            for lam in todo:
+                below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
+                         if kp_less(mu, lam, self.order)]
+                self._table[lam] = self._leclerc(lam, below)
         self._weights_done.add(weight)
-        if fresh and self.cache_dir:
+        if todo and self.cache_dir:
             self._save_cache()
         return kps
 
     # -- the algorithm -------------------------------------------------------
 
-    def _leclerc(self, lam: KP, kps: list[KP]) -> ShuffleElement:
-        """b*_lam from r*_lam, given b*_mu for every mu < lam in kps (sorted)."""
-        chi = self.pbw.proper_standard(lam)
-        below = [(mu, kp_scalars(mu, self.order)) for mu in kps
-                 if kp_less(mu, lam, self.order)]
-        for mu, (_, _, kappa, word) in reversed(below):
-            a = chi.get(word)
-            if a is not None and not a.is_bar_invariant():
-                chi = sh_add(chi, sh_scale(self._table[mu], -correction(a, kappa)))
-        for mu, (_, _, _, word) in below:
-            a = chi.get(word)
-            if a is not None and not a.is_bar_invariant():
+    def _leclerc(self, lam: KP,
+                 below: list[tuple[KP, LaurentPoly, Word]]) -> ShuffleElement:
+        """b*_lam from E*_lam, given b*_mu for every mu < lam.
+
+        below holds (mu, kappa_mu, i_mu) for the mu < lam in display order.
+        """
+        # raw exponent dicts of E*_lam, which the assembly below adds into;
+        # the vector holds copies
+        acc = {w: dict(p.c) for w, p in self.pbw.proper_standard(lam).items()}
+        vec = [LaurentPoly(dict(acc.get(word, {}))) for _, _, word in below]
+        terms = []
+        for j in range(len(below) - 1, -1, -1):
+            if vec[j].is_bar_invariant():
+                continue
+            mu, kappa, _ = below[j]
+            c = correction(vec[j], kappa)
+            b_mu = self._table[mu]
+            for k in range(j + 1):
+                coeff = b_mu.get(below[k][2])
+                if coeff is not None:
+                    vec[k] = vec[k] - c * coeff
+            terms.append((b_mu, c))
+        for b_mu, c in terms:
+            for f, y in c.c.items():
+                for w, p in b_mu.items():
+                    d = acc.get(w)
+                    if d is None:
+                        d = acc[w] = {}
+                    for e, x in p.c.items():
+                        k = e + f
+                        d[k] = d.get(k, 0) - x * y
+        out = _finish(acc)
+        for (mu, _, word), v in zip(below, vec):
+            a = out.get(word, LaurentPoly.zero())
+            if a != v or not a.is_bar_invariant():
+                problem = (f"is {a}, but the corrected vector has {v}" if a != v
+                           else f"is not bar-invariant: {a}")
                 raise CorrectionError(
-                    f"order {self.order.label}: b*_{lam} is not bar-invariant at "
-                    f"i_mu = {render_word(word)} of mu = {mu}: {a}")
-        return chi
+                    f"order {self.order.label}: b*_{lam} at i_mu = {render_word(word)} "
+                    f"of mu = {mu} {problem}")
+        return out
 
     # -- persistent cache ----------------------------------------------------
 
@@ -136,6 +167,12 @@ class CanonicalTable:
                 for entry in doc.get("entries", [])}
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return
+        # a word whose length is not its weight's height was misread (a
+        # stored "10" for the one-letter word (10,) reads as (1, 0)): a miss
+        for lam, ch in table.items():
+            height = sum(map(sum, lam))
+            if any(len(w) != height for w in ch):
+                return
         self._table.update(table)
 
     def _save_cache(self):

@@ -252,13 +252,23 @@ def restrict_character(a: ShuffleElement, parts, rs: RootSystem):
 
 
 def render_word(w: Word) -> str:
-    return "".join(map(str, w)) if all(x <= 9 for x in w) else ",".join(map(str, w))
+    """Digits when every label is at most 9, else comma-separated labels.
+
+    A lone label >= 10 keeps a trailing comma ('11,'), since '11' in digits
+    is the word (1, 1).
+    """
+    if all(x <= 9 for x in w):
+        return "".join(map(str, w))
+    return ",".join(map(str, w)) + ("," if len(w) == 1 else "")
 
 
 def parse_word(text: str) -> Word:
-    """The inverse of render_word: digits ('2121') or comma-separated labels ('9,10')."""
+    """The inverse of render_word: digits ('2121') or labels ('9,10', '10,')."""
+    labels = text.split(",") if "," in text else list(text)
+    if len(labels) == 2 and labels[1] == "":
+        labels.pop()
     try:
-        return tuple(int(t) for t in (text.split(",") if "," in text else text))
+        return tuple(int(t) for t in labels)
     except ValueError:
         raise ValueError(f"{text!r} is not a word of node labels") from None
 

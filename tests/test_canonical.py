@@ -1,8 +1,12 @@
+import functools
 import itertools
 import json
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klrchar import tables
 from klrchar.canonical import CanonicalTable, CorrectionError, correction
@@ -11,7 +15,7 @@ from klrchar.convex import lyndon_order, order_from_reduced_word, random_reduced
 from klrchar.kostant import kostant_partitions, kp_less, kp_scalars, kp_sort_key
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
-from klrchar.shuffle import sh_add, sh_eq, sh_sub
+from klrchar.shuffle import sh_add, sh_eq, sh_scale, sh_sub
 
 
 def test_correction_examples():
@@ -159,6 +163,54 @@ def test_cache_roundtrip_labels_ten_and_up(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == [t1._cache_path().name]
 
 
+@functools.lru_cache(maxsize=None)
+def lyndon(family, rank):
+    return lyndon_order(RootSystem(CartanType(family, rank)))
+
+
+@st.composite
+def weights(draw):
+    family, rank = draw(st.sampled_from([("A", 3), ("B", 3), ("G", 2), ("A", 11)]))
+    letters = draw(st.lists(st.integers(1, rank), min_size=1, max_size=4))
+    return family, rank, tuple(letters.count(i) for i in range(1, rank + 1))
+
+
+# derandomized, with no example database, so every run draws the same examples
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(weights(), min_size=1, max_size=3))
+@example([("A", 11, (0,) * 9 + (1, 0))])
+@example([("A", 11, (0,) * 9 + (1, 1)), ("A", 11, (0,) * 10 + (1,))])
+def test_cache_round_trip_property(drawn):
+    # one table per type, filled with its drawn weights and saved, then
+    # reloaded by a table that cannot compute
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for family, rank in {(f, r) for f, r, _ in drawn}:
+            order = lyndon(family, rank)
+            saved = CanonicalTable(order, cache_dir=cache_dir)
+            for f, r, weight in drawn:
+                if (f, r) == (family, rank):
+                    saved.compute_weight(weight)
+            reloaded = CanonicalTable(order, pbw=RefusingPBW(), cache_dir=cache_dir)
+            assert reloaded._table.keys() == saved._table.keys()
+            for lam, ch in saved._table.items():
+                assert sh_eq(reloaded.char(lam), ch), (family, rank, lam)
+
+
+def test_misread_word_makes_the_cache_a_miss(tmp_path):
+    # a file that stores the one-letter word (10,) as "10" reads it as (1, 0)
+    rs = RootSystem(CartanType("A", 10))
+    o = lyndon_order(rs)
+    weight = (0,) * 9 + (1,)
+    saved = CanonicalTable(o, cache_dir=tmp_path)
+    kps = saved.compute_weight(weight)
+    path = saved._cache_path()
+    assert '"10,"' in path.read_text()
+    path.write_text(path.read_text().replace('"10,"', '"10"'))
+    table = CanonicalTable(o, cache_dir=tmp_path)
+    assert table._table == {}
+    assert table.char(kps[0]) == {(10,): LaurentPoly.one()}
+
+
 def test_unreadable_cache_is_a_miss(tmp_path):
     rs = RootSystem(CartanType("G", 2))
     o = lyndon_order(rs)
@@ -187,9 +239,14 @@ def test_sort_order_extends_kp_order():
                         assert not kp_less(later, lam, o), (fam, o.label, later, lam)
 
 
+def below_of(lam, kps, o):
+    """_leclerc's second argument: (mu, kappa_mu, i_mu) for the mu < lam."""
+    return [(mu, *kp_scalars(mu, o)[2:]) for mu in kps if kp_less(mu, lam, o)]
+
+
 def test_corrupted_lower_entry_is_reported():
-    # b*_mu wrong at i_nu, nu above mu in the scan: subtracting a multiple of
-    # b*_mu breaks the coefficient of b*_lam at i_nu after it was fixed
+    # b*_mu wrong at i_nu, nu above mu in the scan: the vector is corrected
+    # only at and below mu, so the assembled b*_lam disagrees with it at i_nu
     rs = RootSystem(CartanType("G", 2))
     o = lyndon_order(rs)
     table = CanonicalTable(o)
@@ -199,8 +256,68 @@ def test_corrupted_lower_entry_is_reported():
     table._table[mu] = sh_add(table._table[mu], {word: LaurentPoly.term(1, 1)})
     with pytest.raises(CorrectionError, match=r"order lyndon: .*\(0, 1\), \(2, 1\), "
                                               r"\(1, 0\).* i_mu = 12112 of mu = "
-                                              r"\(\(1, 1\), \(2, 1\)\)"):
-        table._leclerc(lam, kps)
+                                              r"\(\(1, 1\), \(2, 1\)\) is "):
+        table._leclerc(lam, below_of(lam, kps, o))
+
+
+def test_wrong_kappa_is_reported():
+    # b*_mu at its own i_mu is 2 kappa_mu instead of kappa_mu: the vector
+    # and the character agree there, and neither is bar-invariant
+    rs = RootSystem(CartanType("G", 2))
+    o = lyndon_order(rs)
+    table = CanonicalTable(o)
+    kps = table.compute_weight((3, 2))
+    lam = ((0, 1), (2, 1), (1, 0))
+    below = below_of(lam, kps, o)
+    chi = table.pbw.proper_standard(lam)
+    # the topmost mu whose coefficient needs a correction
+    mu, kappa, word = next(entry for entry in reversed(below)
+                           if not chi.get(entry[2], LaurentPoly.zero()).is_bar_invariant())
+    table._table[mu] = dict(table._table[mu])
+    table._table[mu][word] = kappa * 2
+    with pytest.raises(CorrectionError, match=r"of mu = .* is not bar-invariant"):
+        table._leclerc(lam, below)
+
+
+def oracle_leclerc(lam, kps, order, pbw, table):
+    """The whole-character loop: subtract c_mu b*_mu from all of chi each time."""
+    chi = pbw.proper_standard(lam)
+    below = [mu for mu in kps if kp_less(mu, lam, order)]
+    for mu in reversed(below):
+        _, _, kappa, word = kp_scalars(mu, order)
+        a = chi.get(word)
+        if a is not None and not a.is_bar_invariant():
+            chi = sh_add(chi, sh_scale(table[mu], -correction(a, kappa)))
+    return chi
+
+
+def oracle_table(weight, order, pbw):
+    kps = sorted(kostant_partitions(weight, order), key=lambda l: kp_sort_key(l, order))
+    table = {}
+    for lam in kps:
+        table[lam] = oracle_leclerc(lam, kps, order, pbw, table)
+    return table
+
+
+def test_vector_correction_matches_whole_character_oracle():
+    cases = 0
+    for fam, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
+        rs = RootSystem(CartanType(fam, rank))
+        rng = random.Random(7)
+        orders = [lyndon_order(rs)] + [
+            order_from_reduced_word(random_reduced_word(rs, rng), rs) for _ in range(3)]
+        weights = [w for w in itertools.product(range(6), repeat=rank) if 0 < sum(w) <= 5]
+        if fam == "B":
+            weights.append((1, 2, 2))
+        for o in orders:
+            pbw = PBWCharacters(o)
+            table = CanonicalTable(o, pbw)
+            for weight in weights:
+                expected = oracle_table(weight, o, pbw)
+                for lam in table.compute_weight(weight):
+                    assert sh_eq(table.char(lam), expected[lam]), (fam, o.label, lam)
+                    cases += 1
+    assert cases > 1000
 
 
 def test_works_for_word_orderings():

@@ -164,6 +164,18 @@ def test_cache_dir_labels_ten_and_up(tmp_path, capsys):
     assert second == first
 
 
+def test_cache_dir_one_letter_label_ten(tmp_path, capsys):
+    # the one-letter word (10,) is written "10," and read back from the cache
+    argv = ("canonical", "--type", "A", "--rank", "10",
+            "--alpha", "0,0,0,0,0,0,0,0,0,1", "--cache-dir", str(tmp_path))
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert '"10,"' in first
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert second == first
+
+
 def test_config_file_flags_win(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"type": "G", "rank": 2}))

@@ -1,14 +1,18 @@
 import random
 from itertools import permutations
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.cartan import p_max
 from klrchar.convex import lyndon_order, minimal_pairs
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
-from klrchar.shuffle import (bar, deg_stat, q_commutator, restrict_character,
-                             sh_add, sh_eq, sh_scale, sh_sub, sh_word, shuffle,
-                             shuffle_letters, word_weight, words_of_weight)
+from klrchar.shuffle import (bar, deg_stat, parse_word, q_commutator, render_word,
+                             restrict_character, sh_add, sh_eq, sh_scale, sh_sub,
+                             sh_word, shuffle, shuffle_letters, word_weight,
+                             words_of_weight)
 from klrchar.tables import G2_CANONICAL_TABLE, parse_bracket_expr
 
 
@@ -263,3 +267,22 @@ def test_shuffle_letters_matches_pairwise_fold():
     terms = {(1, 2): LaurentPoly.one(), (2, 1): LaurentPoly.term(-1, 1),
              (1, 1): LaurentPoly.zero()}
     assert shuffle_letters(terms, rs) == {(1, 2): LaurentPoly({0: 1, 2: -1})}
+
+
+# derandomized, with no example database, so every run draws the same examples
+REPEATABLE = settings(derandomize=True, database=None, deadline=None)
+
+
+@REPEATABLE
+@given(st.lists(st.integers(1, 30), max_size=12).map(tuple))
+@example((10,))
+@example((9, 10))
+@example(())
+def test_parse_word_inverts_render_word(word):
+    assert parse_word(render_word(word)) == word
+
+
+@REPEATABLE
+@given(st.lists(st.integers(1, 9), max_size=12).map(tuple))
+def test_small_labels_render_as_digits(word):
+    assert render_word(word) == "".join(map(str, word))

@@ -28,8 +28,8 @@ def tracer():
 
 
 def test_every_wrapped_name_resolves(tracer):
-    # sh_sub among them: no computing path calls it any more, but it stays
-    # public for the tracer and as the tests' two-shuffle oracle
+    # sh_add, sh_scale and sh_sub among them: the canonical correction no
+    # longer calls them, but they stay public for the tracer and as oracles
     for layer, entries in tracer.WRAPPED.items():
         for module_name, cls_name, names in entries:
             module = importlib.import_module(module_name)
@@ -55,12 +55,16 @@ def test_wrapped_names_stay_on_their_call_paths(tracer, monkeypatch):
         # the exact Euler check no longer goes through char_projective
         pbw_mod.char_projective((1, 2, 3), rs, 8)
         # the solve's one-pass q-commutator calls no element shuffle:
-        # shuffle is reached through a two-part proper standard character,
-        # sh_add through the correction loop
+        # shuffle is reached through a two-part proper standard character
         assert t.calls["shuffle.shuffle"] == 0
         pbw.proper_standard(((0, 1, 0), (1, 0, 0)))
+        # the correction runs on coefficient vectors and assembles each
+        # character in raw exponent dicts, without sh_add or sh_scale
+        calls = dict(t.calls)
         canonical.CanonicalTable(lyndon_order(RootSystem(CartanType("A", 2)))
                                  ).compute_weight((1, 1))
+        for key in ("shuffle.sh_add", "shuffle.sh_scale"):
+            assert t.calls[key] == calls.get(key, 0), key
     finally:
         t.uninstall()
     assert solve_pairs > 0
@@ -68,7 +72,7 @@ def test_wrapped_names_stay_on_their_call_paths(tracer, monkeypatch):
                 "pbw.proper_standard", "resolutions.euler_matches",
                 "resolutions.euler_character", "resolutions.expected_euler",
                 "pbw.standard_divisor", "shuffle.shuffle", "shuffle._pair_shuffle",
-                "shuffle.sh_add", "shuffle.sh_scale", "canonical.correction"):
+                "canonical._leclerc", "canonical.correction"):
         assert t.calls[key] > 0, key
     metrics = t.metrics()
     assert metrics["shuffle.pair_computed"] > 0
