@@ -56,10 +56,6 @@ def _parse_eps(text: str | None, rs: RootSystem):
                              f"labels of {rs.cartan_type}, like +12")
         i, j = int(chunk[1]), int(chunk[2])
         eps[(i, j)] = 1 if chunk[0] == "+" else -1
-    for i in range(1, rs.rank + 1):
-        for j in range(1, rs.rank + 1):
-            if i != j and rs.cartan[i - 1][j - 1] < 0 and (i, j) not in eps:
-                eps[(i, j)] = -eps.get((j, i), -(1 if i < j else -1))
     return eps
 
 
@@ -244,6 +240,8 @@ def cmd_gram(args, rs: RootSystem) -> int:
     if args.willcex:
         if str(rs.cartan_type) != "A5":
             return _fail("--willcex needs --type A --rank 5")
+        if args.parts or args.word or args.eps or args.degree or args.order != "lyndon":
+            return _fail("--willcex fixes --parts, --word, --eps, --degree and --order")
         M = verify_mod.willcex_module()
         G = verify_mod.willcex_gram()
         lam = M.lam
@@ -342,6 +340,43 @@ COMMANDS = {
 }
 
 
+# add_argument keywords of every option; READS names those each subcommand reads
+OPTIONS = {
+    "type": dict(dest="family", default="A", help="Cartan family A..G"),
+    "rank": dict(type=int, default=2),
+    "order": dict(default="lyndon", help="'lyndon' or a reduced word like 121; "
+                                         "commas (1,2,1) for labels >= 10"),
+    "mod": dict(default="", help="comma-separated characteristics for ranks"),
+    "truncate": dict(type=int, default=12, help="series truncation degree"),
+    "eps": dict(default="", help="sign convention, e.g. '+12,-21'; default +1 for i<j"),
+    "seed": dict(type=int, default=20260809),
+    "jobs": dict(type=int, default=1),
+    "out": dict(default=""),
+    "cache-dir": dict(default=""),
+    "alpha": dict(default="", help="weight as comma-separated coefficients"),
+    "parts": dict(default="", help="Kostant partition parts, ';'-separated weights"),
+    "word": dict(default="",
+                 help="target word, e.g. 2121; commas (2,1,2,1) for labels >= 10"),
+    "degree": dict(type=int, default=0),
+    "max-height": dict(type=int, default=4),
+    "willcex": dict(action="store_true", help="the characteristic-2 Gram example in A5"),
+    "config": dict(default="", help="JSON file of option defaults; flags win"),
+}
+
+READS = {
+    "roots": ("type", "rank", "order"),
+    "orders": ("type", "rank", "order"),
+    "lyndon": ("type", "rank"),
+    "kp": ("type", "rank", "order", "alpha"),
+    "pbw-char": ("type", "rank", "order", "alpha"),
+    "canonical": ("type", "rank", "order", "alpha", "cache-dir"),
+    "dim-check": ("type", "rank", "order", "alpha", "max-height", "truncate"),
+    "gram": ("type", "rank", "order", "eps", "parts", "word", "degree", "mod", "willcex"),
+    "resolve": ("type", "rank", "order", "alpha", "eps"),
+    "verify-all": ("seed", "jobs"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="klrchar",
@@ -350,34 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--type", dest="family", default="A",
-                       help="Cartan family A..G")
-        p.add_argument("--rank", type=int, default=2)
-        p.add_argument("--order", default="lyndon",
-                       help="'lyndon' or a reduced word like 121; "
-                            "commas (1,2,1) for labels >= 10")
-        p.add_argument("--mod", default="",
-                       help="comma-separated characteristics for ranks")
-        p.add_argument("--truncate", type=int, default=12,
-                       help="series truncation degree (dim-check)")
-        p.add_argument("--eps", default="",
-                       help="sign convention, e.g. '+12,-21'; default +1 for i<j")
-        p.add_argument("--seed", type=int, default=20260809)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", default="")
-        p.add_argument("--cache-dir", dest="cache_dir", default="")
-        p.add_argument("--alpha", default="",
-                       help="weight as comma-separated coefficients")
-        p.add_argument("--parts", default="",
-                       help="Kostant partition parts, ';'-separated weights")
-        p.add_argument("--word", default="",
-                       help="target word, e.g. 2121; commas (2,1,2,1) for labels >= 10")
-        p.add_argument("--degree", type=int, default=0)
-        p.add_argument("--max-height", dest="max_height", type=int, default=4)
-        p.add_argument("--willcex", action="store_true",
-                       help="the characteristic-2 Gram example in A5")
-        p.add_argument("--config", default="",
-                       help="JSON file of option defaults; flags win")
+        for key in READS[name] + ("out", "config"):
+            p.add_argument(f"--{key}", **OPTIONS[key])
     return top
 
 

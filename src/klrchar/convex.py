@@ -83,21 +83,16 @@ def is_convex(roots: list[Root] | ConvexOrder, rs: RootSystem | None = None) -> 
     return True
 
 
-def reduced_words_of_w0(rs: RootSystem, limit: int | None = None):
+def reduced_words_of_w0(rs: RootSystem):
     """Yield all reduced words of w0 (1-based letters) by depth-first search.
 
-    Only sensible in small rank; ``limit`` caps the number of words yielded.
+    Only sensible in small rank.
     """
     n = rs.rank
     total = len(rs.positive_roots)
-    count = 0
     # P[j] = w(alpha_j); extending on the right by s_i needs P[i] positive
     def rec(P, word):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
         if len(word) == total:
-            count += 1
             yield tuple(word)
             return
         for i in range(n):

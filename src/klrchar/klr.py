@@ -138,13 +138,12 @@ class KLR:
         self.rs = rs
         self.cartan = rs.cartan
         self.d = rs.d
-        if eps is None:
-            eps = {}
-            r = rs.rank
-            for i in range(1, r + 1):
-                for j in range(1, r + 1):
-                    if i != j and rs.cartan[i - 1][j - 1] < 0:
-                        eps[(i, j)] = 1 if i < j else -1
+        # an edge missing from eps takes minus its reverse, else +1 for i < j
+        eps = dict(eps or {})
+        for i in range(1, rs.rank + 1):
+            for j in range(1, rs.rank + 1):
+                if i != j and rs.cartan[i - 1][j - 1] < 0 and (i, j) not in eps:
+                    eps[(i, j)] = -eps.get((j, i), -1 if i < j else 1)
         self.eps = eps
         for (i, j), s in eps.items():
             if eps.get((j, i), 0) * s != -1:

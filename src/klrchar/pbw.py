@@ -136,9 +136,6 @@ def dim_formula(weight, pbw: PBWCharacters,
     rhs = PowerSeries({}, trunc)
     for lam in kostant_partitions(weight, pbw.order):
         dbar = sh_dim(pbw.proper_standard(lam))
-        # headroom: multiplying by the negative tail of Dim bar-Delta
-        # pulls higher series terms below the truncation
-        work = trunc + max(0, -dbar.min_exp())
-        ddelta = PowerSeries.from_poly(dbar, work).div_poly(standard_divisor(lam, rs))
-        rhs = rhs + (ddelta * dbar).truncate(trunc)
+        # exact to trunc, as S_lambda has lowest term 1
+        rhs += PowerSeries.from_poly(dbar * dbar, trunc).div_poly(standard_divisor(lam, rs))
     return lhs, rhs

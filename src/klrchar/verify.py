@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, permutations
 
 from .canonical import CanonicalTable
 from .cartan import CartanType, RootSystem, p_max
-from .convex import (good_lyndon_words, is_convex, lyndon_order,
+from .convex import (ConvexOrder, good_lyndon_words, is_convex, lyndon_order,
                      minimal_pairs, order_from_reduced_word,
                      random_reduced_word, reduced_words_of_w0)
 from .klr import KLR, add_into, elem_add, elem_scale, perm_id
@@ -112,6 +112,12 @@ def check_lyndon_words() -> dict:
 
 # -- 3: scale-factor divisibility ----------------------------------------------
 
+def _orders(rs: RootSystem, rng: random.Random, count: int) -> list[ConvexOrder]:
+    """The Lyndon order, then count orders from random reduced words of w0."""
+    return [lyndon_order(rs)] + [order_from_reduced_word(random_reduced_word(rs, rng), rs)
+                                 for _ in range(count)]
+
+
 def check_ball2(seed: int = 20260809) -> dict:
     t0 = time.time()
     failures = []
@@ -119,10 +125,7 @@ def check_ball2(seed: int = 20260809) -> dict:
     for family, rank in BALL2_TYPES:
         rs = get_rs(family, rank)
         rng = random.Random(seed + rank * 1000 + ord(family))
-        orders = [lyndon_order(rs)]
-        for _ in range(BALL2_ORDERS):
-            orders.append(order_from_reduced_word(random_reduced_word(rs, rng), rs))
-        for order in orders:
+        for order in _orders(rs, rng, BALL2_ORDERS):
             pbw = PBWCharacters(order)
             for alpha in rs.positive_roots:
                 total += 1
@@ -144,10 +147,7 @@ def check_length_two(seed: int = 20260809) -> dict:
     for family, rank in BALL2_TYPES:
         rs = get_rs(family, rank)
         rng = random.Random(seed + rank * 977 + ord(family))
-        orders = [lyndon_order(rs)]
-        for _ in range(LENGTH_TWO_ORDERS):
-            orders.append(order_from_reduced_word(random_reduced_word(rs, rng), rs))
-        for order in orders:
+        for order in _orders(rs, rng, LENGTH_TWO_ORDERS):
             pbw = PBWCharacters(order)
             for alpha in rs.positive_roots:
                 if sum(alpha) < 2:

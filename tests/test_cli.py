@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,80 @@ def test_config_dest_differs_from_flag(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["type"] == "G2"
     assert list(tmp_path.glob("canonical-*.json"))
+
+
+# the options each subcommand reads, besides --out and --config
+READS = {
+    "roots": {"type", "rank", "order"},
+    "orders": {"type", "rank", "order"},
+    "lyndon": {"type", "rank"},
+    "kp": {"type", "rank", "order", "alpha"},
+    "pbw-char": {"type", "rank", "order", "alpha"},
+    "canonical": {"type", "rank", "order", "alpha", "cache-dir"},
+    "dim-check": {"type", "rank", "order", "alpha", "max-height", "truncate"},
+    "gram": {"type", "rank", "order", "eps", "parts", "word", "degree", "mod", "willcex"},
+    "resolve": {"type", "rank", "order", "alpha", "eps"},
+    "verify-all": {"seed", "jobs"},
+}
+# every flag with a value it parses (None: takes no value)
+FLAG_VALUES = {"type": "A", "rank": "2", "order": "121", "mod": "2", "truncate": "8",
+               "eps": "+12", "seed": "1", "jobs": "1", "out": "o.json", "cache-dir": "c",
+               "alpha": "1,1", "parts": "1,0;0,1", "word": "12", "degree": "0",
+               "max-height": "3", "willcex": None, "config": "c.json"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys):
+    assert set(READS) == set(cli.COMMANDS)
+    parser = cli.build_parser()
+    accepted = rejected = 0
+    for name in cli.COMMANDS:
+        for key, value in FLAG_VALUES.items():
+            argv = [name, f"--{key}"] + ([] if value is None else [value])
+            if key in READS[name] | {"out", "config"}:
+                parser.parse_args(argv)
+                accepted += 1
+            else:
+                with pytest.raises(SystemExit) as e:
+                    parser.parse_args(argv)
+                assert e.value.code == 2, argv
+                rejected += 1
+    capsys.readouterr()
+    assert (accepted, rejected) == (63, 107)
+
+
+A5_W0 = "121321432154321"  # s_1 (s_2 s_1) ... (s_5 ... s_1), a reduced word of w0
+
+
+@pytest.mark.parametrize("flag,value", [("--word", "12"), ("--parts", "1,0,0,0,0"),
+                                        ("--eps", "+12"), ("--degree", "1"),
+                                        ("--order", A5_W0)])
+def test_willcex_refuses_what_it_fixes(capsys, flag, value):
+    code, _, _ = run_cli(capsys, "orders", "--type", "A", "--rank", "5", "--order", A5_W0)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "gram", "--type", "A", "--rank", "5", "--willcex",
+                           flag, value)
+    assert code == 1
+    assert "--willcex" in json.loads(out)["error"]
+
+
+def test_config_key_the_subcommand_does_not_read(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"truncate": 5}))
+    with pytest.raises(SystemExit) as e:
+        main(["roots", "--config", str(conf)])
+    assert e.value.code == 2
+    assert "--truncate" in capsys.readouterr().err
+
+
+def test_readme_commands_parse(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("klrchar ")]
+    assert len(lines) >= 11
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_jobs_capped(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -182,3 +183,27 @@ def test_eps_convention_guard():
     rs = RootSystem(CartanType("A", 2))
     with pytest.raises(ValueError):
         KLR(rs, {(1, 2): 1, (2, 1): 1})
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("D", 4), ("G", 2)])
+def test_partial_eps_completed_like_full(fam, rank):
+    # each edge given as (i, j) only, (j, i) only, both or neither, either sign;
+    # a missing direction takes minus the given one, a missing edge +1 for i < j
+    rs = RootSystem(CartanType(fam, rank))
+    edges = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)
+             if rs.cartan[i - 1][j - 1] < 0]
+    default = KLR(rs).eps
+    assert default == {(i, j): 1 for i, j in edges} | {(j, i): -1 for i, j in edges}
+    for choice in product(product(("ij", "ji", "both", "none"), (1, -1)),
+                          repeat=len(edges)):
+        partial, full = {}, dict(default)
+        for (i, j), (given, s) in zip(edges, choice):
+            if given == "none":
+                continue
+            full[(i, j)], full[(j, i)] = s, -s
+            for a, b in ([(i, j)] if given == "ij" else [(j, i)] if given == "ji"
+                         else [(i, j), (j, i)]):
+                partial[(a, b)] = full[(a, b)]
+        kept = dict(partial)
+        assert KLR(rs, partial).eps == KLR(rs, full).eps == full
+        assert partial == kept

@@ -10,7 +10,7 @@ from klrchar.kostant import kostant_partitions, kp_less, kp_scalars
 from klrchar.laurent import ExactDivisionError, LaurentPoly, PowerSeries
 from klrchar.pbw import (PBWCharacters, char_projective, dim_formula, dim_H,
                          dim_standard, standard_divisor)
-from klrchar.shuffle import (deg_stat, is_bar_invariant, sh_eq, sh_scale,
+from klrchar.shuffle import (deg_stat, is_bar_invariant, sh_dim, sh_eq, sh_scale,
                              sh_sub, sh_word, shuffle)
 from klrchar.verify import weights_up_to
 
@@ -235,6 +235,27 @@ def test_dim_H_matches_permutation_sum(fam, rank):
         assert dim_H(weight, rs, 10) == want, weight
         # and the sum over Kostant partitions, the formula's other side
         assert dim_formula(weight, pbw, 10)[1] == want, weight
+
+
+def headroom_sum_side(weight, pbw, trunc):
+    """Oracle: Dim Delta expanded past trunc by the negative tail of Dim bar-Delta,
+    times Dim bar-Delta, cut back to trunc."""
+    rhs = PowerSeries({}, trunc)
+    for lam in kostant_partitions(weight, pbw.order):
+        dbar = sh_dim(pbw.proper_standard(lam))
+        work = trunc + max(0, -dbar.min_exp())
+        ddelta = PowerSeries.from_poly(dbar, work).div_poly(standard_divisor(lam, pbw.rs))
+        rhs = rhs + (ddelta * dbar).truncate(trunc)
+    return rhs
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_dim_formula_sum_side_needs_no_headroom(fam, rank):
+    rs, o, pbw = setup_type(fam, rank)
+    for weight in weights_up_to(rs, 5):
+        for trunc in (6, 10, 12):
+            got = dim_formula(weight, pbw, trunc)[1]
+            assert got == headroom_sum_side(weight, pbw, trunc), (weight, trunc)
 
 
 def test_inexact_division_detected():
