@@ -86,7 +86,8 @@ class RootSystem:
         self.positive_roots: tuple[Root, ...] = tuple(pos)
         self.root_set = frozenset(self._roots)
         self.positive_set = frozenset(pos)
-        self.index = {b: k for k, b in enumerate(pos)}
+        self._positive = {b: b for b in pos}  # one stored tuple per root
+        self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
 
     def _build_cartan(self, ct: CartanType) -> tuple[tuple[int, ...], ...]:
         r = ct.rank
@@ -138,8 +139,20 @@ class RootSystem:
     def d_root(self, b: Root) -> int:
         return self.form(b, b) // 2
 
-    def height(self, b) -> int:
-        return sum(b)
+    def decompositions(self, alpha: Root) -> tuple[tuple[Root, Root], ...]:
+        """Every (beta, gamma) of positive roots with beta + gamma = alpha."""
+        found = self._decompositions.get(alpha)
+        if found is None:
+            h = sum(alpha)
+            found = []
+            for beta in self.positive_roots:  # sorted by height
+                if sum(beta) >= h:
+                    break
+                gamma = self._positive.get(tuple([a - b for a, b in zip(alpha, beta)]))
+                if gamma is not None:
+                    found.append((beta, gamma))
+            found = self._decompositions[alpha] = tuple(found)
+        return found
 
     def key(self) -> str:
         return str(self.cartan_type)

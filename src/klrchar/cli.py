@@ -29,10 +29,13 @@ from . import verify as verify_mod
 
 
 def _parse_weight(text: str, rank: int):
-    parts = [int(t) for t in text.replace(";", ",").split(",")]
+    try:
+        parts = tuple(int(t) for t in text.replace(";", ",").split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != rank:
         raise ValueError(f"--alpha needs {rank} comma-separated coefficients")
-    return tuple(parts)
+    return parts
 
 
 def _parse_lambda(text: str, rank: int):
@@ -145,6 +148,8 @@ def cmd_lyndon(args, rs: RootSystem) -> int:
 
 def cmd_kp(args, rs: RootSystem) -> int:
     order = _build_order(args, rs)
+    if not args.alpha:
+        return _fail("kp needs --alpha")
     weight = _parse_weight(args.alpha, rs.rank)
     kps = sorted(kostant_partitions(weight, order), key=lambda l: kp_sort_key(l, order))
     items = []
@@ -213,11 +218,14 @@ def cmd_canonical(args, rs: RootSystem) -> int:
 
 
 def cmd_dim_check(args, rs: RootSystem) -> int:
+    if args.alpha and args.max_height is not None:
+        return _fail("dim-check takes --alpha or --max-height, not both")
     order = _build_order(args, rs)
     pbw = PBWCharacters(order)
     trunc = args.truncate
     weights = ([_parse_weight(args.alpha, rs.rank)] if args.alpha
-               else list(verify_mod.weights_up_to(rs, args.max_height)))
+               else list(verify_mod.weights_up_to(rs, 4 if args.max_height is None
+                                                  else args.max_height)))
     items = []
     ok = True
     for weight in weights:
@@ -358,7 +366,7 @@ OPTIONS = {
     "word": dict(default="",
                  help="target word, e.g. 2121; commas (2,1,2,1) for labels >= 10"),
     "degree": dict(type=int, default=0),
-    "max-height": dict(type=int, default=4),
+    "max-height": dict(type=int, help="largest height checked; default 4"),
     "willcex": dict(action="store_true", help="the characteristic-2 Gram example in A5"),
     "config": dict(default="", help="JSON file of option defaults; flags win"),
 }

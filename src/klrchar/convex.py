@@ -69,17 +69,10 @@ def is_convex(roots: list[Root] | ConvexOrder, rs: RootSystem | None = None) -> 
     rank = {b: k for k, b in enumerate(roots)}
     if set(rank) != rs.positive_set:
         return False
-    pos = rs.positive_set
-    n = rs.rank
-    for a in pos:
-        for b in pos:
-            if a >= b:
-                continue
-            s = tuple(a[k] + b[k] for k in range(n))
-            if s in pos:
-                lo, hi = min(rank[a], rank[b]), max(rank[a], rank[b])
-                if not lo < rank[s] < hi:
-                    return False
+    for s in rs.positive_roots:
+        for a, b in rs.decompositions(s):  # holds (b, a) too
+            if rank[a] < rank[b] and not rank[a] < rank[s] < rank[b]:
+                return False
     return True
 
 
@@ -129,31 +122,13 @@ def good_lyndon_words(rs: RootSystem) -> dict[Root, Word]:
     with l(beta) > l(gamma).  Letters compare by node label, with a proper
     prefix smaller than the full word.
     """
-    words: dict[Root, Word] = {}
-    by_height: dict[int, list[Root]] = {}
-    for b in rs.positive_roots:
-        by_height.setdefault(sum(b), []).append(b)
-    for i in range(rs.rank):
-        words[rs.simple_root(i)] = (i + 1,)
-    for h in sorted(by_height):
-        if h == 1:
-            continue
-        for alpha in by_height[h]:
-            best = None
-            for beta in rs.positive_roots:
-                if sum(beta) >= h:
-                    continue
-                gamma = tuple(alpha[k] - beta[k] for k in range(rs.rank))
-                if gamma not in rs.positive_set:
-                    continue
-                wb, wg = words[beta], words[gamma]
-                if wb > wg:
-                    cand = wg + wb
-                    if best is None or cand > best:
-                        best = cand
-            if best is None:
-                raise RuntimeError(f"no decomposition found for {alpha}")
-            words[alpha] = best
+    words: dict[Root, Word] = {rs.simple_root(i): (i + 1,) for i in range(rs.rank)}
+    for alpha in rs.positive_roots[rs.rank:]:  # by height, after the simple roots
+        cands = [words[g] + words[b] for b, g in rs.decompositions(alpha)
+                 if words[b] > words[g]]
+        if not cands:
+            raise RuntimeError(f"no decomposition found for {alpha}")
+        words[alpha] = max(cands)
     return words
 
 
@@ -163,20 +138,20 @@ def lyndon_order(rs: RootSystem) -> ConvexOrder:
     return ConvexOrder(rs, roots, "lyndon")
 
 
+def _ordered_decompositions(alpha: Root, order: ConvexOrder) -> list[tuple[Root, Root]]:
+    """The decompositions alpha = beta + gamma with gamma before beta."""
+    if sum(alpha) < 2:
+        raise ValueError("alpha must have height >= 2")
+    return [(b, g) for b, g in order.rs.decompositions(alpha) if order.precedes(g, b)]
+
+
 def minimal_pairs(alpha: Root, order: ConvexOrder) -> list[tuple[Root, Root]]:
     """All minimal pairs (beta, gamma), beta > gamma, beta + gamma = alpha.
 
     A pair is minimal when no other decomposition (beta', gamma') squeezes in
     with beta > beta' and gamma' > gamma.
     """
-    rs = order.rs
-    if sum(alpha) < 2:
-        raise ValueError("alpha must have height >= 2")
-    pairs = []
-    for beta in rs.positive_roots:
-        gamma = tuple(alpha[k] - beta[k] for k in range(rs.rank))
-        if gamma in rs.positive_set and order.precedes(gamma, beta):
-            pairs.append((beta, gamma))
+    pairs = _ordered_decompositions(alpha, order)
     out = []
     for beta, gamma in pairs:
         dominated = any(
@@ -191,22 +166,12 @@ def minimal_pairs(alpha: Root, order: ConvexOrder) -> list[tuple[Root, Root]]:
 
 def mp_choice(alpha: Root, order: ConvexOrder) -> tuple[Root, Root]:
     """The fixed minimal pair: the decomposition with gamma maximal."""
-    cached = order._mp_cache.get(alpha)
-    if cached is not None:
-        return cached
-    rs = order.rs
-    if sum(alpha) < 2:
-        raise ValueError("alpha must have height >= 2")
-    best = None
-    for beta in rs.positive_roots:
-        gamma = tuple(alpha[k] - beta[k] for k in range(rs.rank))
-        if gamma in rs.positive_set and order.precedes(gamma, beta):
-            if best is None or order.precedes(best[1], gamma):
-                best = (beta, gamma)
-    if best is None:
-        raise ValueError(f"{alpha} has no two-part decomposition")
-    order._mp_cache[alpha] = best
-    return best
+    if alpha not in order._mp_cache:
+        pairs = _ordered_decompositions(alpha, order)
+        if not pairs:
+            raise ValueError(f"{alpha} has no two-part decomposition")
+        order._mp_cache[alpha] = max(pairs, key=lambda p: order.rank_of[p[1]])
+    return order._mp_cache[alpha]
 
 
 def mp_fingerprint(alpha: Root, order: ConvexOrder) -> tuple:

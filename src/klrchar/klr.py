@@ -18,7 +18,7 @@ Positions are 0-based internally (tau_k crosses strands k and k+1,
 from __future__ import annotations
 
 from .cartan import RootSystem
-from .shuffle import render_word
+from .shuffle import deg_stat, render_word
 
 Perm = tuple[int, ...]
 Monomial = tuple  # (word, perm, exps)
@@ -374,14 +374,8 @@ class KLR:
     def degree(self, key: Monomial) -> int:
         i, w, a = key
         j = apply_perm_word(w, i)
-        B = self.rs.bilinear_matrix
         deg = sum(2 * self.d[j[p] - 1] * a[p] for p in range(len(a)) if a[p])
-        n = len(i)
-        for p in range(n):
-            for q in range(p + 1, n):
-                if w[p] > w[q]:
-                    deg -= B[i[p] - 1][i[q] - 1]
-        return deg
+        return deg + deg_stat(w, i, self.rs)
 
     def is_homogeneous(self, elem: Element) -> bool:
         degs = {self.degree(k) for k in elem}

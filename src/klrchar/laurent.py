@@ -249,40 +249,23 @@ class PowerSeries:
         )
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        t = min(self.trunc, other.trunc)
-        out = {e: a for e, a in self.c.items() if e <= t}
-        for e, a in other.c.items():
-            if e <= t:
-                b = out.get(e, 0) + a
-                if b:
-                    out[e] = b
-                elif e in out:
-                    del out[e]
-        return PowerSeries(out, t)
+        total = LaurentPoly(self.c) + LaurentPoly(other.c)
+        return PowerSeries(total.c, min(self.trunc, other.trunc))
 
     def __neg__(self):
-        return PowerSeries({e: -a for e, a in self.c.items()}, self.trunc)
+        return PowerSeries((-LaurentPoly(self.c)).c, self.trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return PowerSeries({e: a * other for e, a in self.c.items()}, self.trunc)
+        t = self.trunc
         if isinstance(other, LaurentPoly):
-            other = PowerSeries.from_poly(other, self.trunc)
-        t = min(self.trunc, other.trunc)
-        out: dict[int, int] = {}
-        for e1, a1 in self.c.items():
-            for e2, a2 in other.c.items():
-                e = e1 + e2
-                if e <= t:
-                    b = out.get(e, 0) + a1 * a2
-                    if b:
-                        out[e] = b
-                    elif e in out:
-                        del out[e]
-        return PowerSeries(out, t)
+            other = PowerSeries.from_poly(other, t)
+        if isinstance(other, PowerSeries):
+            t = min(t, other.trunc)
+            other = LaurentPoly(other.c)
+        return PowerSeries((LaurentPoly(self.c) * other).c, t)
 
     __rmul__ = __mul__
 

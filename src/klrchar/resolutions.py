@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cartan import Root
 from .convex import ConvexOrder, Word, mp_choice
-from .klr import KLR, Element, klr_to_json
+from .klr import KLR, Element, add_into, klr_to_json
 from .kostant import root_kappa
 from .laurent import LaurentPoly
 from .pbw import PBWCharacters, projective_divisor, standard_divisor
@@ -137,13 +137,8 @@ def verify_complex(cx: ChainComplex) -> bool:
             for j in range(len(B[0])):
                 total: Element = {}
                 for k in range(len(B)):
-                    prod = engine.multiply(A[i][k], B[k][j])
-                    for key, c in prod.items():
-                        b = total.get(key, 0) + c
-                        if b:
-                            total[key] = b
-                        elif key in total:
-                            del total[key]
+                    for key, c in engine.multiply(A[i][k], B[k][j]).items():
+                        add_into(total, key, c)
                 if total:
                     return False
     return True

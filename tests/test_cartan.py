@@ -129,3 +129,17 @@ def test_precondition_errors():
     rs = RootSystem(CartanType("A", 2))
     with pytest.raises(ValueError):
         check_cases_identity(rs, (1, 1), (1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4),
+                                         ("E", 6), ("F", 4), ("G", 2)])
+def test_decompositions_match_double_loop(family, rank):
+    rs = RootSystem(CartanType(family, rank))
+    pos = rs.positive_roots
+    for alpha in pos:
+        brute = {(b, g) for b in pos for g in pos
+                 if tuple(x + y for x, y in zip(b, g)) == alpha}
+        got = rs.decompositions(alpha)
+        assert len(got) == len(brute)
+        assert set(got) == brute
+        assert rs.decompositions(alpha) is got

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -129,6 +130,41 @@ def test_dim_check(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_match"] is True
+
+
+def test_dim_check_alpha_with_max_height_fails(tmp_path, capsys):
+    argv = ("dim-check", "--type", "A", "--rank", "2", "--alpha", "1,1")
+    code, out, _ = run_cli(capsys, *argv, "--max-height", "1")
+    assert code == 1
+    message = json.loads(out)["error"]
+    assert "--alpha" in message and "--max-height" in message
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"max-height": 4}))
+    code, out, _ = run_cli(capsys, *argv, "--config", str(conf))
+    assert code == 1
+    assert json.loads(out)["error"] == message
+
+
+def test_dim_check_max_height_defaults_to_four(capsys):
+    code, out, _ = run_cli(capsys, "dim-check", "--type", "A", "--rank", "2",
+                           "--truncate", "4")
+    assert code == 0
+    heights = {sum(c["alpha"]) for c in json.loads(out)["checks"]}
+    assert heights == {1, 2, 3, 4}
+
+
+def test_kp_needs_alpha(capsys):
+    code, out, _ = run_cli(capsys, "kp", "--type", "A", "--rank", "2")
+    assert code == 1
+    assert json.loads(out) == {"error": "kp needs --alpha"}
+
+
+@pytest.mark.parametrize("command", ["kp", "pbw-char", "canonical"])
+def test_unparsable_alpha_names_the_option(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--type", "A", "--rank", "2",
+                           "--alpha", "1,x")
+    assert code == 1
+    assert json.loads(out) == {"error": "--alpha needs 2 comma-separated coefficients"}
 
 
 def test_bad_rank(capsys):
@@ -346,3 +382,20 @@ def test_import_leaves_recursion_limit_alone():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout.split()
     assert out[0] == out[1]
+
+
+def test_package_imports_only_the_standard_library():
+    # klrchar is stdlib-only: every import is relative or names a module
+    # of the standard library
+    modules = sorted(Path(klrchar.__file__).parent.rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

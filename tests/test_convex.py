@@ -179,3 +179,44 @@ def test_no_root_sums_outside_window():
                             t = tuple(sum(c) for c in zip(*highs))
                             if s == t:
                                 assert set(lows) == {alpha} and set(highs) == {alpha}
+
+
+# the scans mp_choice and minimal_pairs made before reading
+# RootSystem.decompositions: every positive root beta, gamma = alpha - beta
+def scan_pairs(alpha, order):
+    rs = order.rs
+    pairs = []
+    for beta in rs.positive_roots:
+        gamma = tuple(alpha[k] - beta[k] for k in range(rs.rank))
+        if gamma in rs.positive_set and order.precedes(gamma, beta):
+            pairs.append((beta, gamma))
+    return pairs
+
+
+def scan_minimal_pairs(alpha, order):
+    pairs = scan_pairs(alpha, order)
+    out = [(beta, gamma) for beta, gamma in pairs
+           if not any(order.precedes(b2, beta) and order.precedes(gamma, g2)
+                      for b2, g2 in pairs if (b2, g2) != (beta, gamma))]
+    return sorted(out, key=lambda p: order.rank_of[p[0]])
+
+
+def scan_mp_choice(alpha, order):
+    best = None
+    for beta, gamma in scan_pairs(alpha, order):
+        if best is None or order.precedes(best[1], gamma):
+            best = (beta, gamma)
+    return best
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4),
+                                      ("E", 6), ("F", 4), ("G", 2)])
+def test_pairs_match_the_full_scan(fam, rank):
+    rs = rs_of(fam, rank)
+    rng = random.Random(1000 * rank + ord(fam))
+    orders = [lyndon_order(rs)] + [
+        order_from_reduced_word(random_reduced_word(rs, rng), rs) for _ in range(3)]
+    for o in orders:
+        for alpha in rs.positive_roots[rs.rank:]:
+            assert minimal_pairs(alpha, o) == scan_minimal_pairs(alpha, o)
+            assert mp_choice(alpha, o) == scan_mp_choice(alpha, o)

@@ -2,6 +2,8 @@ from klrchar.laurent import (ExactDivisionError, LaurentPoly, PowerSeries,
                              factor_quantum, quantum_factors)
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def L(**kw):
@@ -64,6 +66,52 @@ def test_series_truncate_and_eq():
     a = PowerSeries({0: 1, 5: 2}, 10)
     assert a.truncate(4) == PowerSeries({0: 1}, 4)
     assert a != PowerSeries({0: 1, 5: 2}, 11)
+
+
+# sparse coefficient dicts with negative exponents and zero coefficients
+COEFFS = st.dictionaries(st.integers(-6, 10), st.integers(-3, 3), max_size=6)
+TRUNCS = st.integers(-3, 8)
+
+
+def term_sum(a, b, t):
+    """Truncated sum, term by term: ({exp: coeff}, trunc)."""
+    out = {}
+    for c in (a, b):
+        for e, x in c.items():
+            if e <= t:
+                out[e] = out.get(e, 0) + x
+    return {e: x for e, x in out.items() if x}, t
+
+
+def term_product(a, ta, b, tb):
+    t = min(ta, tb)
+    out = {}
+    for e1, x1 in a.items():
+        for e2, x2 in b.items():
+            if e1 <= ta and e2 <= tb and e1 + e2 <= t:
+                out[e1 + e2] = out.get(e1 + e2, 0) + x1 * x2
+    return {e: x for e, x in out.items() if x}, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(COEFFS, TRUNCS, COEFFS, TRUNCS, st.integers(-3, 3))
+def test_series_arithmetic_term_by_term(a, ta, b, tb, k):
+    x, y = PowerSeries(a, ta), PowerSeries(b, tb)
+    t = min(ta, tb)
+    neg_b = {e: -v for e, v in b.items()}
+
+    def got(s):
+        return s.c, s.trunc
+
+    assert got(x + y) == term_sum(a, b, t)
+    assert got(x - y) == term_sum(a, neg_b, t)
+    assert got(-y) == term_sum({}, neg_b, tb)
+    assert got(x * y) == term_product(a, ta, b, tb)
+    # a LaurentPoly factor is truncated at the series' own bound first
+    p = LaurentPoly({e: v for e, v in b.items() if v})
+    assert got(x * p) == term_product(a, ta, b, ta)
+    scaled = {e: v * k for e, v in a.items() if e <= ta and v * k}
+    assert got(x * k) == got(k * x) == (scaled, ta)
 
 
 def test_quantum_factors():
