@@ -13,12 +13,12 @@ from .convex import (ConvexOrder, good_lyndon_words, is_convex, lyndon_order,
                      random_reduced_word, reduced_words_of_w0)
 from .klr import KLR
 from .kostant import kostant_partitions, kp_less, kp_scalars
-from .laurent import ExactDivisionError, LaurentPoly, PowerSeries
+from .laurent import ExactDivisionError, LaurentPoly
 from .modules import (HomogRep, NotHomogeneousError, ProperStandard,
                       UnsupportedPartitionError, rank_over)
 from .pbw import PBWCharacters, dim_H, dim_standard
 from .resolutions import (ChainComplex, NotMultiplicityFreeError,
                           euler_character, resolution, verify_complex)
-from .shuffle import bar, restrict_character, shuffle
+from .shuffle import bar, restrict_character
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from .convex import (ConvexOrder, good_lyndon_words, lyndon_order,
                      order_from_reduced_word)
 from .klr import KLR
 from .kostant import kostant_partitions, kp_scalars, kp_sort_key
-from .laurent import LaurentPoly, factor_quantum
-from .modules import ProperStandard, rank_over
+from .laurent import LaurentPoly, factor_quantum, series
+from .modules import ProperStandard, check_characteristic, rank_over
 from .pbw import PBWCharacters, dim_formula
 from .resolutions import euler_matches, resolution, verify_complex
 from .shuffle import parse_word, render_word, sh_to_json
@@ -39,12 +39,13 @@ def _parse_weight(text: str, rank: int):
 
 
 def _parse_lambda(text: str, rank: int):
-    out = []
-    for part in text.split(";"):
-        out.append(tuple(int(t) for t in part.split(",")))
-        if len(out[-1]) != rank:
-            raise ValueError(f"--parts entries need {rank} coefficients")
-    return tuple(out)
+    try:
+        out = tuple(tuple(int(t) for t in part.split(",")) for part in text.split(";"))
+    except ValueError:
+        out = ((),)
+    if any(len(part) != rank for part in out):
+        raise ValueError(f"--parts entries need {rank} coefficients")
+    return out
 
 
 def _parse_eps(text: str | None, rs: RootSystem):
@@ -103,6 +104,11 @@ def _d_labels(rs: RootSystem) -> dict[int, int]:
     for node, d in enumerate(rs.d, start=1):
         out.setdefault(d, node)
     return out
+
+
+def _series_json(num: LaurentPoly, den: LaurentPoly, trunc: int) -> dict:
+    coeff = series(num, den, trunc)
+    return {"trunc": trunc, "coeff": {str(e): coeff[e] for e in sorted(coeff)}}
 
 
 def _coeff_word(c: LaurentPoly, w, rs: RootSystem) -> str:
@@ -229,11 +235,11 @@ def cmd_dim_check(args, rs: RootSystem) -> int:
     items = []
     ok = True
     for weight in weights:
-        lhs, rhs = dim_formula(weight, pbw, trunc)
+        lhs, rhs, den = dim_formula(weight, pbw)
         match = lhs == rhs
         ok = ok and match
-        items.append({"alpha": list(weight), "dim_H": lhs.to_json(),
-                      "sum_over_kp": rhs.to_json(), "match": match})
+        items.append({"alpha": list(weight), "dim_H": _series_json(lhs, den, trunc),
+                      "sum_over_kp": _series_json(rhs, den, trunc), "match": match})
     doc = {"type": str(rs.cartan_type), "order": order.label,
            "truncate": trunc, "checks": items, "all_match": ok}
     lines = [f"{item['alpha']}: {'ok' if item['match'] else 'MISMATCH'}"
@@ -244,7 +250,11 @@ def cmd_dim_check(args, rs: RootSystem) -> int:
 
 
 def cmd_gram(args, rs: RootSystem) -> int:
-    mods = [int(p) for p in args.mod.split(",")] if args.mod else [2]
+    try:
+        mods = ([check_characteristic(int(p)) for p in args.mod.split(",")]
+                if args.mod else [2])
+    except ValueError:
+        return _fail("--mod needs comma-separated primes or 0")
     if args.willcex:
         if str(rs.cartan_type) != "A5":
             return _fail("--willcex needs --type A --rank 5")
@@ -354,7 +364,7 @@ OPTIONS = {
     "rank": dict(type=int, default=2),
     "order": dict(default="lyndon", help="'lyndon' or a reduced word like 121; "
                                          "commas (1,2,1) for labels >= 10"),
-    "mod": dict(default="", help="comma-separated characteristics for ranks"),
+    "mod": dict(default="", help="characteristics for ranks: 0 or primes, by commas"),
     "truncate": dict(type=int, default=12, help="series truncation degree"),
     "eps": dict(default="", help="sign convention, e.g. '+12,-21'; default +1 for i<j"),
     "seed": dict(type=int, default=20260809),

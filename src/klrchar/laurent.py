@@ -1,8 +1,8 @@
-"""Exact sparse Laurent polynomials in q over Z, and truncated power series.
+"""Exact sparse Laurent polynomials in q over Z.
 
-Every coefficient object in the toolkit is one of these two types.  Laurent
-polynomials are kept as {exponent: coefficient} dicts with no zero entries;
-all arithmetic is exact integer arithmetic.
+Every coefficient in the toolkit is one of these, kept as an
+{exponent: coefficient} dict with no zero entries; all arithmetic is exact
+integer arithmetic.  `series` expands a quotient to a printed truncation.
 """
 
 from __future__ import annotations
@@ -220,92 +220,25 @@ def factor_quantum(p: LaurentPoly, d_labels: dict[int, int] | None = None) -> st
     return "".join(bits)
 
 
-class PowerSeries:
-    """Laurent series truncated above a fixed degree.
-
-    Exponents below the truncation bound are stored sparsely; everything
-    above ``trunc`` is discarded.  Two series compare equal only at the same
-    truncation.
-    """
-
-    __slots__ = ("c", "trunc")
-
-    def __init__(self, c: dict[int, int] | None = None, trunc: int = 12):
-        self.trunc = trunc
-        self.c = {e: a for e, a in (c or {}).items() if a and e <= trunc}
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly, trunc: int = 12) -> "PowerSeries":
-        return cls(dict(p.c), trunc)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and self.trunc == other.trunc
-            and self.c == other.c
-        )
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        total = LaurentPoly(self.c) + LaurentPoly(other.c)
-        return PowerSeries(total.c, min(self.trunc, other.trunc))
-
-    def __neg__(self):
-        return PowerSeries((-LaurentPoly(self.c)).c, self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        t = self.trunc
-        if isinstance(other, LaurentPoly):
-            other = PowerSeries.from_poly(other, t)
-        if isinstance(other, PowerSeries):
-            t = min(t, other.trunc)
-            other = LaurentPoly(other.c)
-        return PowerSeries((LaurentPoly(self.c) * other).c, t)
-
-    __rmul__ = __mul__
-
-    def div_poly(self, p: LaurentPoly) -> "PowerSeries":
-        """Divide by a Laurent polynomial whose lowest term is +-q^e."""
-        e0 = p.min_exp()
-        c0 = p.c[e0]
-        if c0 not in (1, -1):
-            raise ExactDivisionError("series division needs a unit lowest term")
-        rem = dict(self.c)
-        out: dict[int, int] = {}
-        while rem:
-            e = min(rem)
-            ee = e - e0
-            if ee > self.trunc:
-                break
-            f = rem[e] * c0
-            out[ee] = f
-            # remainder terms above trunc+e0 can only feed quotient terms
-            # above the truncation, so drop them
-            for ep, ap in p.c.items():
-                k = ee + ep
-                if k <= self.trunc + e0:
-                    b = rem.get(k, 0) - f * ap
-                    if b:
-                        rem[k] = b
-                    elif k in rem:
-                        del rem[k]
-        return PowerSeries(out, self.trunc)
-
-    def truncate(self, trunc: int) -> "PowerSeries":
-        """Re-truncate to a lower bound."""
-        if trunc > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries({e: a for e, a in self.c.items() if e <= trunc}, trunc)
-
-    def to_json(self) -> dict:
-        return {"trunc": self.trunc, "coeff": {str(e): self.c[e] for e in sorted(self.c)}}
-
-    def __str__(self):
-        return str(LaurentPoly(dict(self.c))) + f" + O(q^{self.trunc + 1})"
-
-    __repr__ = __str__
+def series(num: LaurentPoly, den: LaurentPoly, trunc: int) -> dict[int, int]:
+    """Coefficients of num / den up to q^trunc; den's lowest term must be +-q^e."""
+    e0 = den.min_exp()
+    c0 = den.c[e0]
+    if c0 not in (1, -1):
+        raise ExactDivisionError("series division needs a unit lowest term")
+    # numerator terms above trunc + e0 only feed quotient terms above trunc
+    rem = {e: a for e, a in num.c.items() if e <= trunc + e0}
+    out: dict[int, int] = {}
+    while rem:
+        e = min(rem)
+        f = rem[e] * c0
+        out[e - e0] = f
+        for ep, ap in den.c.items():
+            k = e - e0 + ep
+            if k <= trunc + e0:
+                b = rem.get(k, 0) - f * ap
+                if b:
+                    rem[k] = b
+                elif k in rem:
+                    del rem[k]
+    return out

@@ -14,6 +14,7 @@ involution x, and permute tensor slots by y.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cartan import Root, RootSystem
@@ -341,8 +342,16 @@ class ProperStandard:
         return [[self.pair_basis(r, c) for c in cols] for r in rows]
 
 
+def check_characteristic(p: int) -> int:
+    """p itself when it is 0 or a prime; raises ValueError otherwise."""
+    if p and (p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1))):
+        raise ValueError(f"rank_over needs p = 0 or a prime, not {p}")
+    return p
+
+
 def rank_over(matrix, p: int = 0) -> int:
     """Rank over Q (p = 0) or over F_p (p prime)."""
+    check_characteristic(p)
     if not matrix or not matrix[0]:
         return 0
     # the field: F_p reduces mod p, Q computes with fractions

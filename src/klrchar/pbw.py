@@ -14,15 +14,19 @@ Projective characters come from the letter-shuffle fold: the character of
 H 1_j is the shuffle j_1 o ... o j_n of the single letters of j divided by
 prod_k (1 - q^{2 d_{j_k}}).  The graded dimension of H(alpha) is one fold
 over all words of alpha, summed and divided once, and `dim_formula` sets it
-against the sum over Kostant partitions of Dim Delta(lambda) Dim bar-Delta(lambda).
+against the sum over Kostant partitions of Dim Delta(lambda) Dim bar-Delta(lambda)
+exactly, as numerators over one common multiple of the divisors.  Every
+divisor is a product of factors (1 - q^{2k}), kept as a multiset of k.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .cartan import Root, RootSystem, p_max
 from .convex import ConvexOrder, Word, mp_choice, mp_fingerprint
 from .kostant import KP, kostant_partitions, kp_scalars, multiplicities
-from .laurent import ExactDivisionError, LaurentPoly, PowerSeries
+from .laurent import ExactDivisionError, LaurentPoly
 from .shuffle import (ShuffleElement, q_commutator, sh_dim, sh_word, shuffle,
                       shuffle_letters, word_weight, words_of_weight)
 
@@ -89,53 +93,67 @@ class PBWCharacters:
         return {w: c.shift(s) for w, c in out.items()}
 
 
-def standard_divisor(lam: KP, rs: RootSystem) -> LaurentPoly:
-    """prod over parts beta and 1 <= r <= mult of (1 - q_beta^{2r})."""
+def divisor(ks: Counter) -> LaurentPoly:
+    """prod over k in ks, with multiplicity, of (1 - q^{2k})."""
     out = LaurentPoly.one()
-    for b, m in multiplicities(lam).items():
-        db = rs.d_root(b)
-        for r in range(1, m + 1):
-            out = out * (LaurentPoly.one() - LaurentPoly.term(1, 2 * db * r))
+    for k in ks.elements():
+        out = out * LaurentPoly({0: 1, 2 * k: -1})
     return out
 
 
-def dim_standard(lam: KP, pbw: PBWCharacters, trunc: int) -> dict[Word, PowerSeries]:
-    """Word-wise graded dimension series of the standard module for lambda."""
-    ch = pbw.proper_standard(lam)
-    div = standard_divisor(lam, pbw.rs)
-    return {w: PowerSeries.from_poly(c, trunc).div_poly(div) for w, c in ch.items()}
+def standard_factors(lam: KP, rs: RootSystem) -> Counter:
+    """The k of S_lambda: d_beta r for each part beta and 1 <= r <= mult."""
+    return Counter(rs.d_root(b) * r for b, m in multiplicities(lam).items()
+                   for r in range(1, m + 1))
+
+
+def projective_factors(weight, rs: RootSystem) -> Counter:
+    """The k of the projective divisor: d_i, weight_i times."""
+    return Counter(rs.d[i] for i, c in enumerate(weight) for _ in range(c))
+
+
+def standard_divisor(lam: KP, rs: RootSystem) -> LaurentPoly:
+    """S_lambda = prod over parts beta and 1 <= r <= mult of (1 - q_beta^{2r})."""
+    return divisor(standard_factors(lam, rs))
 
 
 def projective_divisor(weight, rs: RootSystem) -> LaurentPoly:
     """prod_i (1 - q^{2 d_i})^{weight_i}, shared by every word of the weight."""
-    out = LaurentPoly.one()
-    for i, c in enumerate(weight):
-        for _ in range(c):
-            out = out * (LaurentPoly.one() - LaurentPoly.term(1, 2 * rs.d[i]))
-    return out
+    return divisor(projective_factors(weight, rs))
 
 
-def char_projective(j: Word, rs: RootSystem, trunc: int) -> dict[Word, PowerSeries]:
-    """Character of the left projective H 1_j, to the truncation."""
-    div = projective_divisor(word_weight(j, rs), rs)
-    return {w: PowerSeries.from_poly(c, trunc).div_poly(div)
-            for w, c in shuffle_letters({tuple(j): LaurentPoly.one()}, rs).items()}
+def dim_standard(lam: KP, pbw: PBWCharacters) -> tuple[ShuffleElement, LaurentPoly]:
+    """Standard module character for lambda: (E*_lambda, S_lambda)."""
+    return pbw.proper_standard(lam), standard_divisor(lam, pbw.rs)
 
 
-def dim_H(weight, rs: RootSystem, trunc: int) -> PowerSeries:
-    """Graded dimension of the whole algebra at the given weight."""
+def char_projective(j: Word, rs: RootSystem) -> tuple[ShuffleElement, LaurentPoly]:
+    """Character of the left projective H 1_j: (numerator, divisor)."""
+    return (shuffle_letters({tuple(j): LaurentPoly.one()}, rs),
+            projective_divisor(word_weight(j, rs), rs))
+
+
+def dim_H(weight, rs: RootSystem) -> tuple[LaurentPoly, LaurentPoly]:
+    """Graded dimension of the whole algebra at the weight: (numerator, divisor)."""
     num = shuffle_letters({w: LaurentPoly.one() for w in words_of_weight(weight)}, rs)
-    return PowerSeries.from_poly(sh_dim(num), trunc).div_poly(projective_divisor(weight, rs))
+    return sh_dim(num), projective_divisor(weight, rs)
 
 
-def dim_formula(weight, pbw: PBWCharacters,
-                trunc: int) -> tuple[PowerSeries, PowerSeries]:
-    """Both sides of Dim H(alpha) = sum_lambda Dim Delta(lambda) Dim bar-Delta(lambda)."""
+def dim_formula(weight,
+                pbw: PBWCharacters) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """Dim H(alpha) and sum_lambda Dim Delta(lambda) Dim bar-Delta(lambda) as
+    (lhs, rhs, den): numerators over one common multiple den of the
+    projective divisor and every S_lambda.  The identity holds iff lhs == rhs.
+    """
     rs = pbw.rs
-    lhs = dim_H(weight, rs, trunc)
-    rhs = PowerSeries({}, trunc)
-    for lam in kostant_partitions(weight, pbw.order):
+    kps = kostant_partitions(weight, pbw.order)
+    proj = projective_factors(weight, rs)
+    common = proj.copy()
+    for lam in kps:
+        common |= standard_factors(lam, rs)
+    lhs = dim_H(weight, rs)[0] * divisor(common - proj)
+    rhs = LaurentPoly.zero()
+    for lam in kps:
         dbar = sh_dim(pbw.proper_standard(lam))
-        # exact to trunc, as S_lambda has lowest term 1
-        rhs += PowerSeries.from_poly(dbar * dbar, trunc).div_poly(standard_divisor(lam, rs))
-    return lhs, rhs
+        rhs = rhs + dbar * dbar * divisor(common - standard_factors(lam, rs))
+    return lhs, rhs, divisor(common)

@@ -1,16 +1,22 @@
 import ast
+import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import klrchar
 from klrchar import cli, verify
+from klrchar.cartan import CartanType, RootSystem
 from klrchar.cli import main
+from klrchar.klr import KLR
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +100,29 @@ def test_gram_generic(capsys):
     doc = json.loads(out)
     assert doc["matrix"] == [[1]]
     assert doc["rank_mod"] == {"2": 1, "3": 1}
+
+
+@pytest.mark.parametrize("mods", ["9", "1", "4", "-3", "2,x", "2,,3", " "])
+def test_gram_mod_takes_only_characteristics(capsys, mods):
+    code, out, _ = run_cli(capsys, "gram", "--type", "A", "--rank", "5",
+                           "--willcex", "--mod", mods)
+    assert code == 1
+    assert json.loads(out) == {"error": "--mod needs comma-separated primes or 0"}
+
+
+def test_gram_mod_zero_and_primes(capsys):
+    code, out, _ = run_cli(capsys, "gram", "--type", "A", "--rank", "5",
+                           "--willcex", "--mod", "0,2,3,7")
+    assert code == 0
+    assert json.loads(out)["rank_mod"] == {"0": 3, "2": 2, "3": 3, "7": 3}
+
+
+@pytest.mark.parametrize("parts", ["0,1,x;1,0,0", "0,1,1;", "0,1,1;1,0", ";", "0,1,1 1,0,0"])
+def test_unparsable_parts_names_the_option(capsys, parts):
+    code, out, _ = run_cli(capsys, "gram", "--type", "A", "--rank", "3",
+                           "--parts", parts, "--word", "2311")
+    assert code == 1
+    assert json.loads(out) == {"error": "--parts entries need 3 coefficients"}
 
 
 def test_resolve_a3(capsys):
@@ -399,3 +428,79 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+# stdout digests (first 16 hex digits of sha256) of the acceptance commands;
+# verify-all takes seconds and is compared by hand
+STDOUT_DIGESTS = [
+    ("roots --type G --rank 2", "50136b7af46a60df"),
+    ("orders --type A --rank 3 --order 123121", "895a4f686a42c4cc"),
+    ("lyndon --type E --rank 8", "92dd4433958cdf43"),
+    ("kp --type G --rank 2 --alpha 3,2", "ae84d34bb232c249"),
+    ("pbw-char --type F --rank 4", "1d7c45934fb08a50"),
+    ("canonical --type G --rank 2", "1c3acecedc645df3"),
+    ("canonical --type B --rank 3 --alpha 1,2,2", "61b6f827586c80b1"),
+    ("dim-check --type B --rank 3 --max-height 4 --truncate 10", "0d1bb1b44e466ca9"),
+    ("dim-check --type B --rank 3 --max-height 5 --truncate 10", "30d7d5116f060630"),
+    ("dim-check --type G --rank 2 --max-height 5 --truncate 12", "99f2168a53e8a131"),
+    ("dim-check --type D --rank 4 --max-height 4 --truncate 12", "b132f470e29fcf03"),
+    ("dim-check --type F --rank 4 --alpha 1,2,2,1 --truncate 14", "5ac2ceda19cf7491"),
+    ("gram --type A --rank 5 --willcex --mod 2,3", "4e7a170e3f6d7776"),
+    ('gram --type A --rank 3 --parts "0,1,1;1,0,0" --word 2311 --degree 0',
+     "db2c79e718f088aa"),
+    ("resolve --type D --rank 5 --alpha 1,1,1,1,1", "170d729d3fb06586"),
+    ('resolve --type A --rank 3 --alpha 1,1,1 --eps "+12,-21"', "39ac8ecb5b3bc72e"),
+]
+
+
+@pytest.mark.parametrize("command,digest", STDOUT_DIGESTS,
+                         ids=[c for c, _ in STDOUT_DIGESTS])
+def test_stdout_is_byte_identical(capsys, command, digest):
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# --eps on the Dynkin edges: each edge gets a sign, written as +ij or -ji
+EPS_TYPES = [("A", 3), ("B", 3), ("D", 4), ("G", 2), ("E", 6)]
+
+
+def dynkin_edges(rs):
+    return [(i, j) for i in range(1, rs.rank + 1) for j in range(i + 1, rs.rank + 1)
+            if rs.cartan[i - 1][j - 1] < 0]
+
+
+@st.composite
+def eps_text(draw):
+    fam, rank = draw(st.sampled_from(EPS_TYPES))
+    rs = RootSystem(CartanType(fam, rank))
+    chunks, full = [], {}
+    for i, j in dynkin_edges(rs):
+        s = draw(st.sampled_from((1, -1)))
+        full[(i, j)], full[(j, i)] = s, -s
+        written = draw(st.sampled_from([[(i, j)], [(j, i)], [(i, j), (j, i)]]))
+        chunks += [("+" if full[e] > 0 else "-") + f"{e[0]}{e[1]}" for e in written]
+    return rs, draw(st.permutations(chunks)), full
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(eps_text())
+def test_parse_eps_completes_to_the_drawn_signs(drawn):
+    rs, chunks, full = drawn
+    eps = cli._parse_eps(",".join(chunks), rs)
+    assert eps == {(int(c[1]), int(c[2])): 1 if c[0] == "+" else -1 for c in chunks}
+    assert KLR(rs, eps).eps == full
+
+
+BAD_CHUNK = st.text(alphabet="+-*0123456789x ", min_size=1, max_size=5).filter(
+    lambda c: not re.fullmatch(r"[+-][1-3][1-3]", c.strip()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(BAD_CHUNK, st.integers(0, 1))
+def test_parse_eps_names_a_malformed_chunk(chunk, at):
+    rs = RootSystem(CartanType("A", 3))
+    good = ["+12", "-23"]
+    with pytest.raises(ValueError) as e:
+        cli._parse_eps(",".join(good[:at] + [chunk] + good[at:]), rs)
+    assert repr(chunk.strip()) in str(e.value)

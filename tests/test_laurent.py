@@ -1,5 +1,5 @@
-from klrchar.laurent import (ExactDivisionError, LaurentPoly, PowerSeries,
-                             factor_quantum, quantum_factors)
+from klrchar.laurent import (ExactDivisionError, LaurentPoly, factor_quantum,
+                             quantum_factors, series)
 
 import pytest
 from hypothesis import given, settings
@@ -51,67 +51,67 @@ def test_pos_part():
 
 
 def test_series_division_roundtrip():
-    one = PowerSeries.from_poly(LaurentPoly.one(), 15)
-    d = (LaurentPoly.one() - LaurentPoly.term(1, 2))
-    geo = one.div_poly(d)
-    assert geo.c == {2 * k: 1 for k in range(8)}
-    assert geo * d == one
-    # unit negative lowest term
+    d = LaurentPoly({0: 1, 2: -1})
+    geo = series(LaurentPoly.one(), d, 15)
+    assert geo == {2 * k: 1 for k in range(8)}
+    assert (LaurentPoly(geo) * d).c == {0: 1, 16: -1}
+    # unit negative lowest term: q^-1 / (q^-1 - q^3) = 1 / (1 - q^4)
     md = LaurentPoly({-1: 1, 3: -1})
-    s = PowerSeries.from_poly(LaurentPoly.term(1, -1), 10)
-    assert s.div_poly(md) * md == s
+    assert series(LaurentPoly.term(1, -1), md, 10) == {0: 1, 4: 1, 8: 1}
+    # and positive: q^5 / (q^2 + q^3) = q^3 - q^4 + q^5 - ...
+    assert series(LaurentPoly.term(1, 5), LaurentPoly({2: 1, 3: 1}), 6) == {
+        3: 1, 4: -1, 5: 1, 6: -1}
+    with pytest.raises(ExactDivisionError):
+        series(LaurentPoly.one(), LaurentPoly({0: 2, 1: 1}), 4)
 
 
 def test_series_truncate_and_eq():
-    a = PowerSeries({0: 1, 5: 2}, 10)
-    assert a.truncate(4) == PowerSeries({0: 1}, 4)
-    assert a != PowerSeries({0: 1, 5: 2}, 11)
+    # a lower truncation is the higher one cut back
+    num = LaurentPoly({-3: 2, 0: 1, 5: 2})
+    den = LaurentPoly({0: 1, 2: -1, 3: 1})
+    high = series(num, den, 12)
+    for t in range(-4, 12):
+        assert series(num, den, t) == {e: a for e, a in high.items() if e <= t}
+    assert series(LaurentPoly.zero(), den, 5) == {}
+
+
+def long_division(num, den, trunc):
+    """Oracle: the quotient coefficients one degree at a time, from
+    num = den * quotient read off at each exponent."""
+    e0 = min(den)
+    out = {}
+    for n in range(min(num, default=trunc + e0 + 1) - e0, trunc + 1):
+        rest = num.get(n + e0, 0) - sum(a * out.get(n + e0 - e, 0)
+                                        for e, a in den.items() if e != e0)
+        out[n] = rest * den[e0]
+    return {e: a for e, a in out.items() if a}
 
 
 # sparse coefficient dicts with negative exponents and zero coefficients
 COEFFS = st.dictionaries(st.integers(-6, 10), st.integers(-3, 3), max_size=6)
-TRUNCS = st.integers(-3, 8)
 
 
-def term_sum(a, b, t):
-    """Truncated sum, term by term: ({exp: coeff}, trunc)."""
-    out = {}
-    for c in (a, b):
-        for e, x in c.items():
-            if e <= t:
-                out[e] = out.get(e, 0) + x
-    return {e: x for e, x in out.items() if x}, t
+@st.composite
+def unit_lowest(draw):
+    """A denominator whose lowest term is +-q^e."""
+    e0 = draw(st.integers(-3, 3))
+    tail = draw(st.dictionaries(st.integers(e0 + 1, e0 + 6), st.integers(-3, 3),
+                                max_size=4))
+    return {**tail, e0: draw(st.sampled_from((1, -1)))}
 
 
-def term_product(a, ta, b, tb):
-    t = min(ta, tb)
-    out = {}
-    for e1, x1 in a.items():
-        for e2, x2 in b.items():
-            if e1 <= ta and e2 <= tb and e1 + e2 <= t:
-                out[e1 + e2] = out.get(e1 + e2, 0) + x1 * x2
-    return {e: x for e, x in out.items() if x}, t
-
-
-@settings(max_examples=300, deadline=None)
-@given(COEFFS, TRUNCS, COEFFS, TRUNCS, st.integers(-3, 3))
-def test_series_arithmetic_term_by_term(a, ta, b, tb, k):
-    x, y = PowerSeries(a, ta), PowerSeries(b, tb)
-    t = min(ta, tb)
-    neg_b = {e: -v for e, v in b.items()}
-
-    def got(s):
-        return s.c, s.trunc
-
-    assert got(x + y) == term_sum(a, b, t)
-    assert got(x - y) == term_sum(a, neg_b, t)
-    assert got(-y) == term_sum({}, neg_b, tb)
-    assert got(x * y) == term_product(a, ta, b, tb)
-    # a LaurentPoly factor is truncated at the series' own bound first
-    p = LaurentPoly({e: v for e, v in b.items() if v})
-    assert got(x * p) == term_product(a, ta, b, ta)
-    scaled = {e: v * k for e, v in a.items() if e <= ta and v * k}
-    assert got(x * k) == got(k * x) == (scaled, ta)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(COEFFS, unit_lowest(), st.integers(-8, 14))
+def test_series_matches_long_division(num, den, trunc):
+    num = {e: a for e, a in num.items() if a}
+    den = {e: a for e, a in den.items() if a}
+    got = series(LaurentPoly(num), LaurentPoly(den), trunc)
+    assert got == long_division(num, den, trunc)
+    # multiplied back, the expansion agrees with num below q^(trunc + e0)
+    back = LaurentPoly(got) * LaurentPoly(den)
+    top = trunc + min(den)
+    assert {e: a for e, a in back.c.items() if e <= top} == {
+        e: a for e, a in num.items() if e <= top}
 
 
 def test_quantum_factors():

@@ -138,6 +138,14 @@ def test_rank_over():
     assert rank_over([[2]], 0) == 1
 
 
+@pytest.mark.parametrize("p", [1, 4, 9, -3, 91])
+def test_rank_over_needs_a_characteristic(p):
+    # Z/p is no field unless p is prime; an empty matrix is refused too
+    for matrix in ([[1, 2], [3, 4]], []):
+        with pytest.raises(ValueError, match=f"not {p}$"):
+            rank_over(matrix, p)
+
+
 def fraction_free_rank(matrix, p):
     """Rank by cross-multiplying rows; over F_p every entry is reduced mod p."""
     rows = [[a % p if p else a for a in r] for r in matrix]

@@ -7,7 +7,7 @@ from klrchar.cartan import CartanType, RootSystem
 from klrchar.convex import (lyndon_order, minimal_pairs,
                             order_from_reduced_word, random_reduced_word)
 from klrchar.kostant import kostant_partitions, kp_less, kp_scalars
-from klrchar.laurent import ExactDivisionError, LaurentPoly, PowerSeries
+from klrchar.laurent import ExactDivisionError, LaurentPoly, series
 from klrchar.pbw import (PBWCharacters, char_projective, dim_formula, dim_H,
                          dim_standard, standard_divisor)
 from klrchar.shuffle import (deg_stat, is_bar_invariant, sh_dim, sh_eq, sh_scale,
@@ -35,19 +35,22 @@ def oracle_divisor(j, rs):
     return div
 
 
-def oracle_char_projective(j, rs, trunc):
-    div = oracle_divisor(j, rs)
-    return {w: PowerSeries.from_poly(c, trunc).div_poly(div)
-            for w, c in oracle_numerator(j, rs).items()}
+def oracle_char_projective(j, rs):
+    return oracle_numerator(j, rs), oracle_divisor(j, rs)
 
 
-def oracle_dim_H(weight, rs, trunc):
+def oracle_dim_H(weight, rs):
+    """Oracle: (numerator, divisor); every word of the weight shares the divisor."""
     letters = [i + 1 for i, c in enumerate(weight) for _ in range(c)]
-    total = PowerSeries({}, trunc)
+    total = LaurentPoly.zero()
     for j in sorted(set(permutations(letters))):
-        for c in oracle_char_projective(j, rs, trunc).values():
+        num, div = oracle_char_projective(j, rs)
+        for c in num.values():
             total = total + c
-    return total
+    return total, div
+
+
+GEOMETRIC = {2 * k: 1 for k in range(6)}  # 1 / (1 - q^2) to q^10
 
 
 def setup_type(fam, rank):
@@ -118,42 +121,50 @@ def test_proper_standard_examples():
 
 def test_dim_standard_a1():
     rs, o, pbw = setup_type("A", 1)
-    got = dim_standard(((1,),), pbw, 10)
-    assert got == {(1,): PowerSeries({2 * k: 1 for k in range(6)}, 10)}
-    got2 = dim_standard(((1,), (1,)), pbw, 6)
-    # [2] 11 / (1-q^2)(1-q^4) expanded
-    series = PowerSeries.from_poly(LaurentPoly.qint(2), 6).div_poly(
-        (LaurentPoly.one() - LaurentPoly.term(1, 2))
-        * (LaurentPoly.one() - LaurentPoly.term(1, 4)))
-    assert got2 == {(1, 1): series}
+    one_minus = [LaurentPoly({0: 1, 2 * k: -1}) for k in (1, 2)]
+    num, div = dim_standard(((1,),), pbw)
+    assert (num, div) == ({(1,): LaurentPoly.one()}, one_minus[0])
+    assert series(num[(1,)], div, 10) == GEOMETRIC
+    # [2] 11 / (1-q^2)(1-q^4)
+    assert dim_standard(((1,), (1,)), pbw) == ({(1, 1): LaurentPoly.qint(2)},
+                                               one_minus[0] * one_minus[1])
 
 
 def test_dim_standard_multiplicity_free():
     rs, o, pbw = setup_type("A", 2)
     lam = ((0, 1), (1, 0))
-    got = dim_standard(lam, pbw, 8)
-    div = standard_divisor(lam, rs)
-    ch = pbw.proper_standard(lam)
-    for w, c in ch.items():
-        assert got[w] == PowerSeries.from_poly(c, 8).div_poly(div)
+    num, div = dim_standard(lam, pbw)
+    assert num == pbw.proper_standard(lam)
+    one_minus = LaurentPoly({0: 1, 2: -1})
+    assert div == standard_divisor(lam, rs) == one_minus * one_minus
 
 
 def test_dim_H_examples():
     rs, o, pbw = setup_type("A", 1)
-    assert dim_H((1,), rs, 10) == PowerSeries({2 * k: 1 for k in range(6)}, 10)
-    lhs = dim_H((2,), rs, 8)
-    num = PowerSeries.from_poly(LaurentPoly({0: 1, -2: 1}), 8)
-    d = LaurentPoly.one() - LaurentPoly.term(1, 2)
-    assert lhs == num.div_poly(d * d)
+    num, div = dim_H((1,), rs)
+    assert series(num, div, 10) == GEOMETRIC
+    d = LaurentPoly({0: 1, 2: -1})
+    assert dim_H((2,), rs) == (LaurentPoly({0: 1, -2: 1}), d * d)
 
 
 def test_dim_H_at_height_nine():
     # no height guard: both sides of the dimension formula agree at height 9
     for fam, rank, weight in [("G", 2, (3, 6)), ("A", 2, (4, 5))]:
         rs, o, pbw = setup_type(fam, rank)
-        lhs, rhs = dim_formula(weight, pbw, 10)
-        assert lhs == dim_H(weight, rs, 10)
+        lhs, rhs, den = dim_formula(weight, pbw)
+        num, div = dim_H(weight, rs)
+        assert lhs * div == num * den
         assert lhs == rhs, weight
+
+
+def test_dim_formula_common_multiple():
+    # A1 at 2: projective divisor (1-q^2)^2, S_(1,1) = (1-q^2)(1-q^4); the
+    # common multiple takes each factor at its largest multiplicity
+    rs, o, pbw = setup_type("A", 1)
+    d1, d2 = (LaurentPoly({0: 1, 2 * k: -1}) for k in (1, 2))
+    lhs, rhs, den = dim_formula((2,), pbw)
+    assert den == d1 * d1 * d2
+    assert lhs == rhs == LaurentPoly({0: 1, -2: 1}) * d2
 
 
 def test_restriction_vanishing_and_top():
@@ -212,8 +223,9 @@ def test_unitriangular_words():
 
 def test_char_projective_regular_a1():
     rs, o, pbw = setup_type("A", 1)
-    got = char_projective((1,), rs, 10)
-    assert got == {(1,): PowerSeries({2 * k: 1 for k in range(6)}, 10)}
+    num, div = char_projective((1,), rs)
+    assert num == {(1,): LaurentPoly.one()}
+    assert series(num[(1,)], div, 10) == GEOMETRIC
 
 
 @pytest.mark.parametrize("fam,rank", [("G", 2), ("B", 3), ("C", 3), ("D", 4),
@@ -224,38 +236,42 @@ def test_char_projective_matches_permutation_sum(fam, rank):
     for n in range(1, 7):
         for _ in range(3):
             j = tuple(rng.randint(1, rank) for _ in range(n))
-            assert char_projective(j, rs, 10) == oracle_char_projective(j, rs, 10), j
+            assert char_projective(j, rs) == oracle_char_projective(j, rs), j
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_dim_H_matches_permutation_sum(fam, rank):
     rs, o, pbw = setup_type(fam, rank)
     for weight in weights_up_to(rs, 5):
-        want = oracle_dim_H(weight, rs, 10)
-        assert dim_H(weight, rs, 10) == want, weight
-        # and the sum over Kostant partitions, the formula's other side
-        assert dim_formula(weight, pbw, 10)[1] == want, weight
+        want, div = oracle_dim_H(weight, rs)
+        assert dim_H(weight, rs) == (want, div), weight
+        # and the sum over Kostant partitions, the formula's other side,
+        # over its own common multiple
+        lhs, rhs, den = dim_formula(weight, pbw)
+        assert lhs * div == want * den, weight
+        assert rhs * div == want * den, weight
 
 
-def headroom_sum_side(weight, pbw, trunc):
-    """Oracle: Dim Delta expanded past trunc by the negative tail of Dim bar-Delta,
-    times Dim bar-Delta, cut back to trunc."""
-    rhs = PowerSeries({}, trunc)
+def termwise_sum_side(weight, pbw, trunc):
+    """Sum over lambda of the q^trunc expansions of Dim bar-Delta^2 / S_lambda."""
+    total = {}
     for lam in kostant_partitions(weight, pbw.order):
         dbar = sh_dim(pbw.proper_standard(lam))
-        work = trunc + max(0, -dbar.min_exp())
-        ddelta = PowerSeries.from_poly(dbar, work).div_poly(standard_divisor(lam, pbw.rs))
-        rhs = rhs + (ddelta * dbar).truncate(trunc)
-    return rhs
+        for e, a in series(dbar * dbar, standard_divisor(lam, pbw.rs), trunc).items():
+            total[e] = total.get(e, 0) + a
+    return {e: a for e, a in total.items() if a}
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
 def test_dim_formula_sum_side_needs_no_headroom(fam, rank):
+    # each S_lambda has lowest term 1, so term-wise expansions to q^trunc add
+    # up to the expansion of the exact sum, with no headroom past trunc
     rs, o, pbw = setup_type(fam, rank)
     for weight in weights_up_to(rs, 5):
+        lhs, rhs, den = dim_formula(weight, pbw)
         for trunc in (6, 10, 12):
-            got = dim_formula(weight, pbw, trunc)[1]
-            assert got == headroom_sum_side(weight, pbw, trunc), (weight, trunc)
+            got = series(rhs, den, trunc)
+            assert got == termwise_sum_side(weight, pbw, trunc), (weight, trunc)
 
 
 def test_inexact_division_detected():

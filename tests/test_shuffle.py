@@ -1,4 +1,6 @@
 import random
+import sys
+import types
 from itertools import permutations
 
 from hypothesis import example, given, settings
@@ -286,3 +288,11 @@ def test_parse_word_inverts_render_word(word):
 @given(st.lists(st.integers(1, 9), max_size=12).map(tuple))
 def test_small_labels_render_as_digits(word):
     assert render_word(word) == "".join(map(str, word))
+
+
+def test_klrchar_shuffle_is_the_module():
+    import klrchar.shuffle as sh
+
+    assert isinstance(sh, types.ModuleType)
+    assert sh is sys.modules["klrchar.shuffle"]
+    assert callable(sh._pair_shuffle)

@@ -51,9 +51,9 @@ def test_wrapped_names_stay_on_their_call_paths(tracer, monkeypatch):
         cx = resolutions.resolution((1, 1, 1), order)
         assert resolutions.euler_matches(cx, order, pbw, 8)
         solve_pairs = t.calls["shuffle._pair_shuffle"]
-        pbw_mod.dim_standard(((1, 1, 1),), pbw, 8)
+        pbw_mod.dim_standard(((1, 1, 1),), pbw)
         # the exact Euler check no longer goes through char_projective
-        pbw_mod.char_projective((1, 2, 3), rs, 8)
+        pbw_mod.char_projective((1, 2, 3), rs)
         # the solve's one-pass q-commutator calls no element shuffle:
         # shuffle is reached through a two-part proper standard character
         assert t.calls["shuffle.shuffle"] == 0
