@@ -87,6 +87,8 @@ class RootSystem:
         self.root_set = frozenset(self._roots)
         self.positive_set = frozenset(pos)
         self._positive = {b: b for b in pos}  # one stored tuple per root
+        # p_max searches p in [-p_bound, p_bound]: twice the highest height
+        self.p_bound = 2 * sum(pos[-1])
         self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
 
     def _build_cartan(self, ct: CartanType) -> tuple[tuple[int, ...], ...]:
@@ -163,15 +165,11 @@ class RootSystem:
 
 def p_max(rs: RootSystem, beta: Root, gamma: Root) -> int:
     """Largest p with beta - p*gamma a root (tested in the full root system)."""
-    hi = 2 * max(sum(abs(c) for c in b) for b in rs.positive_roots)
-    best = None
-    for p in range(-hi, hi + 1):
-        b = tuple(beta[k] - p * gamma[k] for k in range(rs.rank))
-        if b in rs.root_set:
-            best = p
-    if best is None:
-        raise ValueError("beta - p*gamma never lands in R")
-    return best
+    hi = rs.p_bound
+    for p in range(hi, -hi - 1, -1):
+        if tuple(beta[k] - p * gamma[k] for k in range(rs.rank)) in rs.root_set:
+            return p
+    raise ValueError("beta - p*gamma never lands in R")
 
 
 def check_cases_identity(rs: RootSystem, alpha: Root, beta: Root, gamma: Root) -> bool:

@@ -70,23 +70,21 @@ def canon_word(w: Perm) -> tuple[int, ...]:
     if hit is not None:
         return hit
     out = []
-    cur = list(w)
     n = len(w)
     pos = [0] * n
-    for k, v in enumerate(cur):
+    for k, v in enumerate(w):
         pos[v] = k
-    while True:
-        d = -1
-        for k in range(n - 1):
-            if pos[k] > pos[k + 1]:
-                d = k
-                break
-        if d < 0:
-            break
-        out.append(d)
-        pk, pk1 = pos[d], pos[d + 1]
-        cur[pk], cur[pk1] = d + 1, d
-        pos[d], pos[d + 1] = pk1, pk
+    # extracting the descent k changes only the descents at k-1, k and k+1,
+    # so the scan for the next smallest one resumes at k-1
+    k = 0
+    while k < n - 1:
+        if pos[k] < pos[k + 1]:
+            k += 1
+            continue
+        out.append(k)
+        pos[k], pos[k + 1] = pos[k + 1], pos[k]
+        if k:
+            k -= 1
     res = tuple(out)
     _CANON_CACHE[w] = res
     return res

@@ -124,25 +124,26 @@ class LaurentPoly:
             return LaurentPoly()
         e0 = other.min_exp()
         c0 = other.c[e0]
-        top = other.max_exp()
+        span = other.max_exp() - e0
+        top = self.max_exp()
         rem = dict(self.c)
         quo: dict[int, int] = {}
-        while rem:
-            e = min(rem)
-            a = rem[e]
+        # one ordered sweep: a quotient term clears rem at e and changes it
+        # only on [e + 1, e + span], so rem never grows above top
+        for e in range(self.min_exp(), top + 1):
+            a = rem.pop(e, 0)
+            if not a:
+                continue
             if a % c0:
                 raise ExactDivisionError(f"coefficient {a} not divisible by {c0}")
-            if e - e0 + top > max(rem):
+            if e + span > top:
                 raise ExactDivisionError("inexact Laurent division")
             f = a // c0
             quo[e - e0] = f
             for eo, ao in other.c.items():
-                k = e - e0 + eo
-                b = rem.get(k, 0) - f * ao
-                if b:
-                    rem[k] = b
-                elif k in rem:
-                    del rem[k]
+                if eo != e0:
+                    k = e - e0 + eo
+                    rem[k] = rem.get(k, 0) - f * ao
         return LaurentPoly(quo)
 
     # -- rendering ---------------------------------------------------------

@@ -14,13 +14,12 @@ involution x, and permute tensor slots by y.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .cartan import Root, RootSystem
 from .convex import ConvexOrder, Word, good_lyndon_words
-from .klr import (KLR, Perm, apply_perm_word, canon_word, perm_id,
-                  perm_len, perm_of_word)
+from .klr import (KLR, Perm, add_into, apply_perm_word, canon_word,
+                  perm_id, perm_len, perm_of_word)
 from .kostant import kp_scalars
 from .pbw import PBWCharacters
 
@@ -115,6 +114,8 @@ class ProperStandard:
         self.s_shift = kp_scalars(self.lam, order)[1]
         self.y = self._build_y()
         self.x = self._build_x()
+        # (k, basis vector) -> image of tau_k, filled during gram_matrix only
+        self._images: dict | None = None
 
     # -- block combinatorics -------------------------------------------------
 
@@ -246,11 +247,31 @@ class ProperStandard:
 
     def act_tau(self, k: int, vec: dict) -> dict:
         out: dict = {}
-        for (u, words), c in vec.items():
-            E = self.engine.tau_times_perm(k, u, self.concat(words))
-            for (iw, wv, b), c2 in E.items():
-                self._reduce_term(c * c2, b, wv, words, out)
+        for basis_vec, c in vec.items():
+            for key, c2 in self._tau_image(k, basis_vec).items():
+                add_into(out, key, c * c2)
         return out
+
+    def _tau_image(self, k: int, basis_vec) -> dict:
+        """tau_k on one standard basis vector, in the standard basis.
+
+        Inside gram_matrix the image is looked up in, or stored into, the
+        table of that call; _reduce_term is linear in its coefficient, so an
+        image is stored for coefficient 1 and scaled by act_tau.
+        """
+        table = self._images
+        if table is not None:
+            hit = table.get((k, basis_vec))
+            if hit is not None:
+                return hit
+        u, words = basis_vec
+        image: dict = {}
+        E = self.engine.tau_times_perm(k, u, self.concat(words))
+        for (iw, wv, b), c in E.items():
+            self._reduce_term(c, b, wv, words, image)
+        if table is not None:
+            table[(k, basis_vec)] = image
+        return image
 
     def act_x(self, p: int, vec: dict) -> dict:
         out: dict = {}
@@ -339,12 +360,47 @@ class ProperStandard:
     def gram_matrix(self, word: Word, degree: int = 0):
         rows = self.slice_basis(word, degree)
         cols = rows if degree == 0 else self.slice_basis(word, -degree)
-        return [[self.pair_basis(r, c) for c in cols] for r in rows]
+        # the pairings of one matrix repeat most generator actions; the
+        # table lives for this call only, which keeps peak memory flat
+        self._images = {}
+        try:
+            return [[self.pair_basis(r, c) for c in cols] for r in rows]
+        finally:
+            self._images = None
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# p below this bound (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 1 < p < MR_BOUND."""
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_characteristic(p: int) -> int:
     """p itself when it is 0 or a prime; raises ValueError otherwise."""
-    if p and (p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1))):
+    if p >= MR_BOUND:
+        raise ValueError(f"rank_over decides primality only below {MR_BOUND}, not {p}")
+    if p and (p < 2 or not _is_prime(p)):
         raise ValueError(f"rank_over needs p = 0 or a prime, not {p}")
     return p
 

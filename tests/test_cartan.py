@@ -85,6 +85,24 @@ def test_p_max_equal_roots():
     assert p_max(rs, (1, 0), (1, 0)) == 2
 
 
+def scan_p_max(rs, beta, gamma):
+    """p_max as a scan of every p within twice the highest height."""
+    hi = 2 * max(sum(abs(c) for c in b) for b in rs.positive_roots)
+    ps = [p for p in range(-hi, hi + 1)
+          if tuple(b - p * g for b, g in zip(beta, gamma)) in rs.root_set]
+    return max(ps)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)])
+def test_p_max_matches_full_scan(family, rank):
+    rs = RootSystem(CartanType(family, rank))
+    for beta in rs.positive_roots:
+        for gamma in rs.positive_roots:
+            assert p_max(rs, beta, gamma) == scan_p_max(rs, beta, gamma), (beta, gamma)
+
+
 def test_root_string_contiguous():
     for fam, rank in [("B", 3), ("G", 2), ("A", 3)]:
         rs = RootSystem(CartanType(fam, rank))

@@ -102,7 +102,8 @@ def test_gram_generic(capsys):
     assert doc["rank_mod"] == {"2": 1, "3": 1}
 
 
-@pytest.mark.parametrize("mods", ["9", "1", "4", "-3", "2,x", "2,,3", " "])
+@pytest.mark.parametrize("mods", ["9", "1", "4", "-3", "2,x", "2,,3", " ", "3215031751",
+                                  str(2 ** 89 - 1)])
 def test_gram_mod_takes_only_characteristics(capsys, mods):
     code, out, _ = run_cli(capsys, "gram", "--type", "A", "--rank", "5",
                            "--willcex", "--mod", mods)

@@ -1,12 +1,12 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.klr import (KLR, apply_perm_word, canon_word, elem_add,
                          elem_scale, perm_id, perm_inv, perm_len, perm_mult,
-                         perm_of_word)
+                         perm_of_word, swap_values)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,46 @@ def test_canon_word_is_reduced_and_correct():
                 inv = perm_inv(w)
                 descents = [k for k in range(n - 1) if inv[k] > inv[k + 1]]
                 assert c[0] == min(descents)
+
+
+def lex_least_reduced_word(w, memo):
+    """Brute force: every reduced word starts with a left descent."""
+    if w not in memo:
+        inv = perm_inv(w)
+        descents = [k for k in range(len(w) - 1) if inv[k] > inv[k + 1]]
+        memo[w] = min(((k,) + lex_least_reduced_word(swap_values(w, k), memo)
+                       for k in descents), default=())
+    return memo[w]
+
+
+def test_canon_word_is_lex_least_reduced_word():
+    memo = {}
+    for n in range(1, 7):
+        for w in permutations(range(n)):
+            assert canon_word(w) == lex_least_reduced_word(w, memo), w
+
+
+def restart_at_zero_canon_word(w):
+    """The scan that restarts at 0 after every extracted descent."""
+    out, n = [], len(w)
+    pos = [0] * n
+    for k, v in enumerate(w):
+        pos[v] = k
+    while True:
+        d = next((k for k in range(n - 1) if pos[k] > pos[k + 1]), -1)
+        if d < 0:
+            return tuple(out)
+        out.append(d)
+        pos[d], pos[d + 1] = pos[d + 1], pos[d]
+
+
+def test_canon_word_matches_restart_at_zero_scan():
+    rng = random.Random(11)
+    for _ in range(2000):
+        w = list(range(rng.randint(10, 20)))
+        rng.shuffle(w)
+        w = tuple(w)
+        assert canon_word(w) == restart_at_zero_canon_word(w), w
 
 
 def test_quadratic_relation_cases(a2):

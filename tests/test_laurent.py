@@ -45,6 +45,26 @@ def test_exact_division():
     assert num.exact_div(num) == LaurentPoly.one()
 
 
+def test_exact_division_seeded():
+    import random
+
+    rng = random.Random(23)
+
+    def poly(span, terms):
+        return LaurentPoly({rng.randint(-span, span): rng.choice((-3, -2, -1, 1, 2, 3))
+                            for _ in range(terms)})
+
+    for _ in range(500):
+        a, b = poly(6, rng.randint(1, 5)), poly(4, rng.randint(1, 4))
+        num = a * b
+        assert num.exact_div(b) == a
+        # q^e added anywhere leaves a remainder unless b is a unit +-q^k
+        if len(b.c) > 1 or abs(b.c[b.min_exp()]) > 1:
+            e = rng.randint(num.min_exp() - 1, num.max_exp() + 1)
+            with pytest.raises(ExactDivisionError):
+                (num + LaurentPoly.term(1, e)).exact_div(b)
+
+
 def test_pos_part():
     p = LaurentPoly({3: 1, 0: 7, -2: 4})
     assert p.pos_part() == LaurentPoly({3: 1})

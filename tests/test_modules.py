@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from klrchar.cartan import CartanType, RootSystem
 from klrchar.convex import lyndon_order
 from klrchar.klr import KLR
 from klrchar.laurent import LaurentPoly
-from klrchar.modules import (HomogRep, NotHomogeneousError, ProperStandard,
-                             rank_over)
+from klrchar.modules import (MR_BOUND, HomogRep, NotHomogeneousError,
+                             ProperStandard, check_characteristic, rank_over)
 from klrchar.pbw import PBWCharacters
 
 
@@ -144,6 +145,35 @@ def test_rank_over_needs_a_characteristic(p):
     for matrix in ([[1, 2], [3, 4]], []):
         with pytest.raises(ValueError, match=f"not {p}$"):
             rank_over(matrix, p)
+
+
+def test_characteristic_matches_trial_division():
+    for p in range(-3, 10 ** 4):
+        prime = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        if p == 0 or prime:
+            assert check_characteristic(p) == p
+        else:
+            with pytest.raises(ValueError, match=f"not {p}$"):
+                check_characteristic(p)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+def test_characteristic_large_primes(p):
+    assert check_characteristic(p) == p
+
+
+@pytest.mark.parametrize("p", [561, 3215031751, 2 ** 61 + 1])
+def test_characteristic_rejects_pseudoprimes(p):
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5 and 7
+    with pytest.raises(ValueError, match=f"not {p}$"):
+        check_characteristic(p)
+
+
+@pytest.mark.parametrize("p", [MR_BOUND, 2 ** 89 - 1])
+def test_characteristic_refuses_above_bound(p):
+    # MR_BOUND itself is a strong pseudoprime to every base; 2^89 - 1 is prime
+    with pytest.raises(ValueError, match=f"below {MR_BOUND}"):
+        check_characteristic(p)
 
 
 def fraction_free_rank(matrix, p):
@@ -338,3 +368,44 @@ def test_willcex_rank_in_standard_basis():
     assert len(G) == 5
     assert rank_over(G, 0) == 3
     assert rank_over(G, 2) == 2
+
+
+def commutation_class(word, rs):
+    """Every word reached from word by swapping adjacent commuting letters."""
+    seen, frontier = {word}, [word]
+    while frontier:
+        w = frontier.pop()
+        for t in range(len(w) - 1):
+            a, b = w[t], w[t + 1]
+            if a != b and rs.cartan[a - 1][b - 1] == 0:
+                w2 = w[:t] + (b, a) + w[t + 2:]
+                if w2 not in seen:
+                    seen.add(w2)
+                    frontier.append(w2)
+    return sorted(seen)
+
+
+def entrywise_gram(M, word, degree):
+    rows = M.slice_basis(word, degree)
+    cols = rows if degree == 0 else M.slice_basis(word, -degree)
+    return [[M.pair_basis(r, c) for c in cols] for r in rows]
+
+
+def test_gram_matrix_matches_entrywise_pairing():
+    # gram_matrix shares generator images between its entries through a
+    # table; pair_basis outside it computes every entry afresh
+    from klrchar import verify
+
+    M = verify.willcex_module()
+    word = verify.WILLCEX_WORD
+    others = [w for w in commutation_class(word, M.rs) if w != word]
+    rs, o, H, pbw = setup_module_env("A", 2)
+    equal_parts = ProperStandard(H, o, ((1, 1), (1, 1)), pbw)
+    cases = [(M, word, 0), (M, word, 2), (M, word, -2)]
+    cases += [(M, w, 0) for w in random.Random(5).sample(others, 3)]
+    cases += [(equal_parts, (1, 1, 2, 2), 2), (equal_parts, (1, 1, 2, 2), -2)]
+    for module, w, d in cases:
+        G = module.gram_matrix(w, d)
+        assert G and G == entrywise_gram(module, w, d), (w, d)
+        # the table of images lives for one gram_matrix call only
+        assert not module._images
