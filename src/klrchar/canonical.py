@@ -63,7 +63,6 @@ class CanonicalTable:
         self.pbw = pbw if pbw is not None else PBWCharacters(order)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._table: dict[KP, ShuffleElement] = {}
-        self._weights_done: set[tuple] = set()
         if self.cache_dir:
             self._load_cache()
 
@@ -86,8 +85,6 @@ class CanonicalTable:
         # kp_less compares the first differing part by the same rank
         kps = sorted(kostant_partitions(weight, self.order),
                      key=lambda l: kp_sort_key(l, self.order))
-        if weight in self._weights_done:
-            return kps
         todo = [lam for lam in kps if lam not in self._table]
         if todo:
             scalars = {mu: kp_scalars(mu, self.order) for mu in kps}
@@ -95,7 +92,6 @@ class CanonicalTable:
                 below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
                          if kp_less(mu, lam, self.order)]
                 self._table[lam] = self._leclerc(lam, below)
-        self._weights_done.add(weight)
         if todo and self.cache_dir:
             self._save_cache()
         return kps

@@ -21,7 +21,7 @@ from .convex import (ConvexOrder, good_lyndon_words, lyndon_order,
 from .klr import KLR
 from .kostant import kostant_partitions, kp_scalars, kp_sort_key
 from .laurent import LaurentPoly, factor_quantum, series
-from .modules import ProperStandard, check_characteristic, rank_over
+from .modules import MR_BOUND, ProperStandard, check_characteristic, rank_over
 from .pbw import PBWCharacters, dim_formula
 from .resolutions import euler_matches, resolution, verify_complex
 from .shuffle import parse_word, render_word, sh_to_json
@@ -251,8 +251,11 @@ def cmd_dim_check(args, rs: RootSystem) -> int:
 
 def cmd_gram(args, rs: RootSystem) -> int:
     try:
-        mods = ([check_characteristic(int(p)) for p in args.mod.split(",")]
-                if args.mod else [2])
+        mods = [int(p) for p in args.mod.split(",")] if args.mod else [2]
+        for p in mods:
+            if p >= MR_BOUND:
+                return _fail(f"--mod decides primality only below {MR_BOUND}, not {p}")
+            check_characteristic(p)
     except ValueError:
         return _fail("--mod needs comma-separated primes or 0")
     if args.willcex:

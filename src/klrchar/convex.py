@@ -41,24 +41,32 @@ class ConvexOrder:
         return f"ConvexOrder({self.rs.cartan_type}, {self.label})"
 
 
+def _step(rs: RootSystem, P: list[Root], i: int) -> list[Root]:
+    """The images w s_i(alpha_j) from P[j] = w(alpha_j) (i is 0-based).
+
+    w s_i is longer than w exactly when P[i] is positive.
+    """
+    Pi = P[i]
+    return [tuple(a - c * b for a, b in zip(Pj, Pi)) if c else Pj
+            for Pj, c in zip(P, rs.cartan[i])]
+
+
 def order_from_reduced_word(word: Word, rs: RootSystem) -> ConvexOrder:
     """The ordering alpha_{i_1} < s_{i_1}(alpha_{i_2}) < ... from a reduced
     word for the longest element.  Letters are 1-based node labels."""
     n_pos = len(rs.positive_roots)
     if len(word) != n_pos:
         raise NotReducedError(f"word has length {len(word)}, expected {n_pos}")
+    # the k-th root is w(alpha_{i_k}) for w = s_{i_1}...s_{i_{k-1}}
+    P = [rs.simple_root(j) for j in range(rs.rank)]
     roots: list[Root] = []
-    seen = set()
-    # w = s_{i_1}...s_{i_{k-1}} tracked through its images of all roots;
-    # apply letters right-to-left to the new simple root instead
-    for k, i in enumerate(word):
-        b = rs.simple_root(i - 1)
-        for j in reversed(word[:k]):
-            b = rs.reflect(j - 1, b)
-        if b not in rs.positive_set or b in seen:
+    for i in word:
+        if not 1 <= i <= rs.rank:
+            raise NotReducedError(f"letter {i} is not a node of {rs.cartan_type}")
+        if min(P[i - 1]) < 0:
             raise NotReducedError("word is not a reduced expression of w0")
-        seen.add(b)
-        roots.append(b)
+        roots.append(P[i - 1])
+        P = _step(rs, P, i - 1)
     return ConvexOrder(rs, roots, "word:" + "".join(map(str, word)))
 
 
@@ -81,35 +89,28 @@ def reduced_words_of_w0(rs: RootSystem):
 
     Only sensible in small rank.
     """
-    n = rs.rank
     total = len(rs.positive_roots)
-    # P[j] = w(alpha_j); extending on the right by s_i needs P[i] positive
+
     def rec(P, word):
         if len(word) == total:
             yield tuple(word)
             return
-        for i in range(n):
-            if all(c >= 0 for c in P[i]):
-                Q = [tuple(P[j][k] - rs.cartan[i][j] * P[i][k] for k in range(n))
-                     for j in range(n)]
+        for i, b in enumerate(P):
+            if min(b) >= 0:
                 word.append(i + 1)
-                yield from rec(Q, word)
+                yield from rec(_step(rs, P, i), word)
                 word.pop()
 
-    P0 = [rs.simple_root(j) for j in range(n)]
-    yield from rec(P0, [])
+    yield from rec([rs.simple_root(j) for j in range(rs.rank)], [])
 
 
 def random_reduced_word(rs: RootSystem, rng: random.Random) -> Word:
     """One reduced word of w0 sampled by a random ascent walk."""
-    n = rs.rank
-    P = [rs.simple_root(j) for j in range(n)]
+    P = [rs.simple_root(j) for j in range(rs.rank)]
     word = []
     for _ in range(len(rs.positive_roots)):
-        choices = [i for i in range(n) if all(c >= 0 for c in P[i])]
-        i = rng.choice(choices)
-        P = [tuple(P[j][k] - rs.cartan[i][j] * P[i][k] for k in range(n))
-             for j in range(n)]
+        i = rng.choice([i for i, b in enumerate(P) if min(b) >= 0])
+        P = _step(rs, P, i)
         word.append(i + 1)
     return tuple(word)
 

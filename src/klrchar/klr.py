@@ -33,11 +33,6 @@ def perm_id(n: int) -> Perm:
     return tuple(range(n))
 
 
-def perm_mult(a: Perm, b: Perm) -> Perm:
-    """(a*b)(k) = a(b(k))."""
-    return tuple(a[b[k]] for k in range(len(a)))
-
-
 def perm_inv(a: Perm) -> Perm:
     out = [0] * len(a)
     for k, v in enumerate(a):
@@ -178,30 +173,31 @@ class KLR:
 
     # -- relations data ------------------------------------------------------
 
-    def quad_terms(self, k: int, j) -> list[tuple[int, dict[int, int]]]:
-        """tau_k^2 1_j as [(coeff, {position: exponent})]."""
+    def quad_terms(self, k: int, j) -> list[tuple[int, tuple]]:
+        """tau_k^2 1_j as [(coeff, exponent vector)]."""
         a, b = j[k], j[k + 1]
         if a == b:
             return []
+        zero = self.zeros(len(j))
         c_ab = self.cartan[a - 1][b - 1]
-        if c_ab < 0:
-            c_ba = self.cartan[b - 1][a - 1]
-            e = self.eps[(a, b)]
-            return [(e, {k: -c_ab}), (-e, {k + 1: -c_ba})]
-        return [(1, {})]
+        if c_ab >= 0:
+            return [(1, zero)]
+        c_ba = self.cartan[b - 1][a - 1]
+        e = self.eps[(a, b)]
+        head, tail = zero[:k], zero[k + 2:]
+        return [(e, head + (-c_ab, 0) + tail), (-e, head + (0, -c_ba) + tail)]
 
-    def braid_terms(self, k: int, j) -> list[tuple[int, dict[int, int]]]:
-        """(tau_{k+1}tau_k tau_{k+1} - tau_k tau_{k+1} tau_k) 1_j, positions k,k+1,k+2."""
+    def braid_terms(self, k: int, j) -> list[tuple[int, tuple]]:
+        """(tau_{k+1}tau_k tau_{k+1} - tau_k tau_{k+1} tau_k) 1_j as
+        [(coeff, exponent vector)], the exponents at positions k, k+2."""
         a, b = j[k], j[k + 1]
         if j[k + 2] != a or self.cartan[a - 1][b - 1] >= 0:
             return []
-        c_ab = self.cartan[a - 1][b - 1]
+        m = -1 - self.cartan[a - 1][b - 1]
         e = self.eps[(a, b)]
-        out = []
-        for r in range(-1 - c_ab + 1):
-            s = -1 - c_ab - r
-            out.append((e, {k: r, k + 2: s}))
-        return out
+        zero = self.zeros(len(j))
+        head, tail = zero[:k], zero[k + 3:]
+        return [(e, head + (r, 0, m - r) + tail) for r in range(m + 1)]
 
     # -- generator products --------------------------------------------------
 
@@ -267,14 +263,9 @@ class KLR:
             if C.get(lead) != 1:
                 raise AssertionError("missing unit leading term in ascent product")
             del C[lead]
-            j2 = apply_perm_word(w2, i)
             out: Element = {}
-            zero = self.zeros(len(w))
-            for coeff, expmap in self.quad_terms(k, j2):
-                exps = list(zero)
-                for p, e in expmap.items():
-                    exps[p] += e
-                add_into(out, (tuple(i), w2, tuple(exps)), coeff)
+            for coeff, exps in self.quad_terms(k, apply_perm_word(w2, i)):
+                add_into(out, (tuple(i), w2, exps), coeff)
             if C:
                 out = elem_add(out, elem_scale(self.lmul_tau(k, C), -1))
         self._ttp[key] = self._guard(out)
@@ -328,12 +319,10 @@ class KLR:
         if terms:
             sign = 1 if h > g else -1
             base = self.word_to_normal(t2, i)
-            for coeff, expmap in terms:
+            for coeff, exps in terms:
                 for (iw, wv, a), c in base.items():
-                    a2 = list(a)
-                    for p, e in expmap.items():
-                        a2[p] += e
-                    add_into(corr, (iw, wv, tuple(a2)), sign * coeff * c)
+                    add_into(corr, (iw, wv, tuple(x + y for x, y in zip(a, exps))),
+                             sign * coeff * c)
         return (h, g) + t2, corr
 
     # -- whole-element operations ---------------------------------------------
@@ -374,10 +363,6 @@ class KLR:
         j = apply_perm_word(w, i)
         deg = sum(2 * self.d[j[p] - 1] * a[p] for p in range(len(a)) if a[p])
         return deg + deg_stat(w, i, self.rs)
-
-    def is_homogeneous(self, elem: Element) -> bool:
-        degs = {self.degree(k) for k in elem}
-        return len(degs) <= 1
 
     def nilhecke_idempotent(self, letter: int, m: int) -> Element:
         """x_2 x_3^2 ... x_m^{m-1} tau_{w0} on the word letter^m."""

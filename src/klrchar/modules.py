@@ -139,43 +139,22 @@ class ProperStandard:
                 x[self.offsets[t] + s] = self.offsets[self.y[t]] + s
         return tuple(x)
 
-    def coset_factorize(self, u: Perm) -> tuple[Perm, Perm]:
-        """u = u1 * u2 with u1 increasing on blocks and u2 block-preserving."""
+    def block_factorize(self, u: Perm) -> tuple[Perm, dict[int, tuple[int, ...]]]:
+        """u = u1 * u2 with u1 increasing on blocks and u2 block-preserving.
+
+        Returns u1 and, for each block t that u2 moves, the canonical word of
+        u2 on that block in local positions.
+        """
         u1 = list(u)
-        u2 = list(range(self.n))
+        local = {}
         for t, off in enumerate(self.offsets):
-            size = self.sizes[t]
-            vals = sorted(range(size), key=lambda s: u[off + s])
-            for s in range(size):
-                u1[off + s] = u[off + vals[s]]
-            inv = [0] * size
-            for s in range(size):
-                inv[vals[s]] = s
-            for s in range(size):
-                u2[off + s] = off + inv[s]
-        return tuple(u1), tuple(u2)
-
-    def block_word(self, u2: Perm) -> tuple[int, ...]:
-        """A reduced word for a block-preserving permutation."""
-        out = []
-        for t, off in enumerate(self.offsets):
-            size = self.sizes[t]
-            local = tuple(u2[off + s] - off for s in range(size))
-            out.extend(off + c for c in canon_word(local))
-        return tuple(out)
-
-    def apply_block_perm(self, u2: Perm, words: tuple[Word, ...]):
-        """Act a block-preserving permutation on the cuspidal tensor."""
-        words = list(words)
-        for t, off in enumerate(self.offsets):
-            size = self.sizes[t]
-            local = tuple(u2[off + s] - off for s in range(size))
-            for c in reversed(canon_word(local)):
-                w2 = self.reps[t].tau(c, words[t])
-                if w2 is None:
-                    return None
-                words[t] = w2
-        return tuple(words)
+            end = off + self.sizes[t]
+            block = u1[off:end]
+            srt = sorted(block)
+            if block != srt:
+                u1[off:end] = srt
+                local[t] = canon_word(tuple(map(srt.index, block)))
+        return tuple(u1), local
 
     # -- elements --------------------------------------------------------------
 
@@ -192,25 +171,28 @@ class ProperStandard:
         key = (self.concat(words), u, self.engine.zeros(self.n))
         return self.engine.degree(key) + self.s_shift
 
-    def left_word(self, u: Perm, words) -> Word:
-        return apply_perm_word(u, self.concat(words))
-
     # -- reduction to the standard basis ---------------------------------------
 
     def _reduce_term(self, coeff: int, exps, u: Perm, words, out: dict):
         if not coeff:
             return
-        u1, u2 = self.coset_factorize(u)
+        u1, local = self.block_factorize(u)
         jword = self.concat(words)
-        if u2 != perm_id(self.n):
-            rw = canon_word(u1) + self.block_word(u2)
+        if local:
+            # tau_{u1} tau_{u2} = tau_u + lower terms, and tau_{u2} acts on the tensor
+            rw = canon_word(u1)
+            w2 = list(words)
+            for t, cw in local.items():
+                rw += tuple(self.offsets[t] + c for c in cw)
+                for c in reversed(cw):
+                    if w2[t] is not None:
+                        w2[t] = self.reps[t].tau(c, w2[t])
             E = self.engine.word_to_normal(rw, jword)
             lead = (jword, u, self.engine.zeros(self.n))
             if E.get(lead) != 1:
                 raise AssertionError("coset rewriting lost its leading term")
-            w2 = self.apply_block_perm(u2, words)
-            if w2 is not None:
-                self._reduce_term(coeff, exps, u1, w2, out)
+            if None not in w2:
+                self._reduce_term(coeff, exps, u1, tuple(w2), out)
             for (iw, wv, b), c in E.items():
                 if (iw, wv, b) == lead:
                     continue
@@ -238,10 +220,7 @@ class ProperStandard:
                             self._reduce_term(sign * coeff * cc, b2, wv, words, out)
                     pos = c + 1 if pos == c else c
             return
-        key = (u, tuple(words))
-        out[key] = out.get(key, 0) + coeff
-        if not out[key]:
-            del out[key]
+        add_into(out, (u, tuple(words)), coeff)
 
     # -- action -----------------------------------------------------------------
 
@@ -284,11 +263,7 @@ class ProperStandard:
 
     def act_word(self, taus, vec: dict) -> dict:
         """Apply tau generators right-to-left (0-based positions)."""
-        for k in reversed(tuple(taus)):
-            vec = self.act_tau(k, vec)
-            if not vec:
-                return {}
-        return vec
+        return self.act_transposed_word(tuple(taus)[::-1], vec)
 
     def act_transposed_word(self, taus, vec: dict) -> dict:
         """Apply the transpose of the given tau word."""

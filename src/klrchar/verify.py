@@ -268,7 +268,7 @@ def _matches_up_to_diag_signs(G, H) -> bool:
 
 # -- 7 and 8: resolutions -----------------------------------------------------------
 
-def check_a3_resolution(trunc: int = 12) -> dict:
+def check_a3_resolution() -> dict:
     t0 = time.time()
     rs = get_rs("A", 3)
     order = lyndon_order(rs)
@@ -292,7 +292,7 @@ def check_a3_resolution(trunc: int = 12) -> dict:
         problems.append("differential entries differ from the expected matrices")
     if not verify_complex(cx):
         problems.append("d^2 != 0")
-    if not euler_matches(cx, order, PBWCharacters(order), trunc):
+    if not euler_matches(cx, order, PBWCharacters(order)):
         problems.append("Euler characteristic mismatch")
     detail = ("matches the rank-3 top-root complex; d^2 = 0; Euler = word/(1-q^2)"
               if not problems else "; ".join(problems))
@@ -468,11 +468,8 @@ def _relations_hold_on_word(H: KLR, word) -> bool:
     for k in range(n - 1):
         got = H.lmul_tau(k, H.lmul_tau(k, e))
         want: dict = {}
-        for c, em in H.quad_terms(k, word):
-            exps = [0] * n
-            for p, x in em.items():
-                exps[p] += x
-            add_into(want, (word, perm_id(n), tuple(exps)), c)
+        for c, exps in H.quad_terms(k, word):
+            add_into(want, (word, perm_id(n), exps), c)
         if got != want:
             return False
         for l in range(k + 2, n - 1):
@@ -483,11 +480,8 @@ def _relations_hold_on_word(H: KLR, word) -> bool:
         rhs = H.apply_tau_word((k, k + 1, k), e)
         diff = elem_add(lhs, elem_scale(rhs, -1))
         want = {}
-        for c, em in H.braid_terms(k, word):
-            exps = [0] * n
-            for p, x in em.items():
-                exps[p] += x
-            add_into(want, (word, perm_id(n), tuple(exps)), c)
+        for c, exps in H.braid_terms(k, word):
+            add_into(want, (word, perm_id(n), exps), c)
         if diff != want:
             return False
     return True

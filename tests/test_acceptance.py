@@ -42,7 +42,7 @@ def test_criterion_6_characteristic_two_gram():
 
 
 def test_criterion_7_a3_resolution():
-    report(verify.check_a3_resolution(trunc=12), budget=10.0)
+    report(verify.check_a3_resolution(), budget=10.0)
 
 
 def test_criterion_8_resolution_sweep():

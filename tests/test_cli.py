@@ -17,6 +17,7 @@ from klrchar import cli, verify
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.cli import main
 from klrchar.klr import KLR
+from klrchar.modules import MR_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -108,7 +109,10 @@ def test_gram_mod_takes_only_characteristics(capsys, mods):
     code, out, _ = run_cli(capsys, "gram", "--type", "A", "--rank", "5",
                            "--willcex", "--mod", mods)
     assert code == 1
-    assert json.loads(out) == {"error": "--mod needs comma-separated primes or 0"}
+    # 2^89 - 1 is prime, but above the bound where primality is decided
+    want = (f"--mod decides primality only below {MR_BOUND}, not {mods}"
+            if mods == str(2 ** 89 - 1) else "--mod needs comma-separated primes or 0")
+    assert json.loads(out) == {"error": want}
 
 
 def test_gram_mod_zero_and_primes(capsys):

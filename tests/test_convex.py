@@ -220,3 +220,80 @@ def test_pairs_match_the_full_scan(fam, rank):
         for alpha in rs.positive_roots[rs.rank:]:
             assert minimal_pairs(alpha, o) == scan_minimal_pairs(alpha, o)
             assert mp_choice(alpha, o) == scan_mp_choice(alpha, o)
+
+
+# -- the Weyl-group step against the reflection construction ------------------
+
+def reflection_order(word, rs):
+    """Roots s_{i_1}...s_{i_{k-1}}(alpha_{i_k}), each reflected back letter by
+    letter; None unless they are distinct positive roots."""
+    roots, seen = [], set()
+    for k, i in enumerate(word):
+        b = rs.simple_root(i - 1)
+        for j in reversed(word[:k]):
+            b = rs.reflect(j - 1, b)
+        if b not in rs.positive_set or b in seen:
+            return None
+        seen.add(b)
+        roots.append(b)
+    return tuple(roots)
+
+
+def ascent_walk(rs, rng):
+    """A random reduced word of w0, each root tracked by reflections."""
+    n = rs.rank
+    P = [rs.simple_root(j) for j in range(n)]
+    word = []
+    for _ in range(len(rs.positive_roots)):
+        i = rng.choice([i for i in range(n) if all(c >= 0 for c in P[i])])
+        P = [tuple(P[j][k] - rs.cartan[i][j] * P[i][k] for k in range(n))
+             for j in range(n)]
+        word.append(i + 1)
+    return tuple(word)
+
+
+STEP_TYPES = [("A", r) for r in range(2, 9)] + [("B", 2), ("B", 3), ("B", 4), ("C", 3),
+              ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3)])
+def test_every_reduced_word_matches_reflections(fam, rank):
+    rs = rs_of(fam, rank)
+    words = list(reduced_words_of_w0(rs))
+    assert len(words) == {"A": 16, "B": 42}[fam]
+    for w in words:
+        assert order_from_reduced_word(w, rs).roots == reflection_order(w, rs)
+
+
+@pytest.mark.parametrize("fam,rank", STEP_TYPES)
+def test_random_words_match_reflections(fam, rank):
+    rs = rs_of(fam, rank)
+    rng = random.Random(7919 * rank + ord(fam))
+    for _ in range(200):
+        w = random_reduced_word(rs, rng)
+        assert order_from_reduced_word(w, rs).roots == reflection_order(w, rs)
+
+
+@pytest.mark.parametrize("fam,rank", STEP_TYPES)
+def test_letters_outside_the_nodes_and_repeats_refused(fam, rank):
+    rs = rs_of(fam, rank)
+    w = random_reduced_word(rs, random.Random(rank))
+    k = len(w) // 2
+    for bad in (0, rank + 1):
+        with pytest.raises(NotReducedError, match=f"letter {bad} "):
+            order_from_reduced_word(w[:k] + (bad,) + w[k + 1:], rs)
+    # s_i s_i at positions k-1, k
+    repeat = w[:k] + (w[k - 1],) + w[k + 1:]
+    assert reflection_order(repeat, rs) is None
+    with pytest.raises(NotReducedError, match="not a reduced expression"):
+        order_from_reduced_word(repeat, rs)
+
+
+@pytest.mark.parametrize("fam,rank,count", [("F", 4, 200), ("E", 8, 5)])
+def test_seeded_words_unchanged(fam, rank, count):
+    # F4 with 200 words per seed are the pbw-orders benchmark inputs
+    rs = rs_of(fam, rank)
+    for seed in range(1, 6):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(count):
+            assert random_reduced_word(rs, new) == ascent_walk(rs, old)

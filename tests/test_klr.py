@@ -5,7 +5,7 @@ import pytest
 
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.klr import (KLR, apply_perm_word, canon_word, elem_add,
-                         elem_scale, perm_id, perm_inv, perm_len, perm_mult,
+                         elem_scale, perm_id, perm_inv, perm_len,
                          perm_of_word, swap_values)
 
 
@@ -18,7 +18,7 @@ def test_perm_helpers():
     w = perm_of_word((0, 1), 3)
     assert w == (1, 2, 0)
     assert canon_word(w) == (0, 1)
-    assert perm_mult(w, perm_inv(w)) == perm_id(3)
+    assert tuple(w[k] for k in perm_inv(w)) == perm_id(3)
     assert perm_len(w) == 2
     assert apply_perm_word(w, (7, 8, 9)) == (9, 7, 8)
 
@@ -173,7 +173,7 @@ def test_degree_preserved_by_normal_form():
                 if not elem:
                     break
             if elem:
-                assert H.is_homogeneous(elem)
+                assert len({H.degree(key) for key in elem}) == 1
 
 
 def test_associativity_random_triples():
@@ -247,3 +247,49 @@ def test_partial_eps_completed_like_full(fam, rank):
         kept = dict(partial)
         assert KLR(rs, partial).eps == KLR(rs, full).eps == full
         assert partial == kept
+
+
+# -- relation terms against {position: exponent} maps -------------------------
+
+def quad_map(H, k, j):
+    """tau_k^2 1_j as [(coeff, {position: exponent})]."""
+    a, b = j[k], j[k + 1]
+    if a == b:
+        return []
+    c_ab = H.cartan[a - 1][b - 1]
+    if c_ab < 0:
+        e = H.eps[(a, b)]
+        return [(e, {k: -c_ab}), (-e, {k + 1: -H.cartan[b - 1][a - 1]})]
+    return [(1, {})]
+
+
+def braid_map(H, k, j):
+    a, b = j[k], j[k + 1]
+    if j[k + 2] != a or H.cartan[a - 1][b - 1] >= 0:
+        return []
+    c_ab = H.cartan[a - 1][b - 1]
+    return [(H.eps[(a, b)], {k: r, k + 2: -1 - c_ab - r}) for r in range(-c_ab)]
+
+
+def as_vectors(terms, n):
+    out = []
+    for c, em in terms:
+        exps = [0] * n
+        for p, e in em.items():
+            exps[p] += e
+        out.append((c, tuple(exps)))
+    return out
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                      ("E", 6), ("F", 4), ("G", 2)])
+def test_relation_terms_are_exponent_vectors(fam, rank):
+    rs = RootSystem(CartanType(fam, rank))
+    # a non-default sign on the first edge, so eps enters both lists
+    for H in (KLR(rs), KLR(rs, {(2, 1): 1})):
+        for n in range(2, 5):
+            for word in product(range(1, rank + 1), repeat=n):
+                for k in range(n - 1):
+                    assert H.quad_terms(k, word) == as_vectors(quad_map(H, k, word), n)
+                for k in range(n - 2):
+                    assert H.braid_terms(k, word) == as_vectors(braid_map(H, k, word), n)

@@ -1,11 +1,13 @@
 import math
 import random
+from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.convex import lyndon_order
-from klrchar.klr import KLR
+from klrchar.klr import KLR, apply_perm_word, canon_word, perm_of_word
 from klrchar.laurent import LaurentPoly
 from klrchar.modules import (MR_BOUND, HomogRep, NotHomogeneousError,
                              ProperStandard, check_characteristic, rank_over)
@@ -302,7 +304,7 @@ def test_module_defining_relations():
             return out
 
         for v in vectors:
-            words = {M.left_word(u, ws) for u, ws in v}
+            words = {apply_perm_word(u, M.concat(ws)) for u, ws in v}
             if len(words) != 1:
                 continue
             word = words.pop()
@@ -312,7 +314,7 @@ def test_module_defining_relations():
                 want: dict = {}
                 for c, em in H.quad_terms(k, word):
                     t = v
-                    for p, e in em.items():
+                    for p, e in enumerate(em):
                         for _ in range(e):
                             t = M.act_x(p, t)
                     want = add(want, t, c)
@@ -330,7 +332,7 @@ def test_module_defining_relations():
                 want = {}
                 for c, em in H.braid_terms(k, word):
                     t = v
-                    for p, e in em.items():
+                    for p, e in enumerate(em):
                         for _ in range(e):
                             t = M.act_x(p, t)
                     want = add(want, t, c)
@@ -409,3 +411,48 @@ def test_gram_matrix_matches_entrywise_pairing():
         assert G and G == entrywise_gram(module, w, d), (w, d)
         # the table of images lives for one gram_matrix call only
         assert not module._images
+
+
+# -- the block factorization against the sort-based one ------------------------
+
+def sorted_coset_factorize(offsets, sizes, u):
+    """u = u1 * u2 by sorting each block's values with a key function."""
+    u1, u2 = list(u), list(range(len(u)))
+    for off, size in zip(offsets, sizes):
+        vals = sorted(range(size), key=lambda s: u[off + s])
+        for s in range(size):
+            u1[off + s] = u[off + vals[s]]
+            u2[off + vals[s]] = off + s
+    return tuple(u1), tuple(u2)
+
+
+def sorted_block_word(offsets, sizes, u2):
+    out = []
+    for off, size in zip(offsets, sizes):
+        out.extend(off + c for c in canon_word(tuple(u2[off + s] - off for s in range(size))))
+    return tuple(out)
+
+
+def blocks(sizes):
+    offsets = [sum(sizes[:t]) for t in range(len(sizes))]
+    return SimpleNamespace(sizes=list(sizes), offsets=offsets)
+
+
+# the block sizes of the modules above, and longer ones of the same shape
+BLOCK_SIZES = [(1,), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 1, 1), (3,),
+               (2, 2, 1, 1), (3, 3), (2, 2, 1, 1, 1), (3, 2, 2), (7,)]
+
+
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_block_factorize_matches_sorting(sizes):
+    M = blocks(sizes)
+    n = sum(sizes)
+    for u in permutations(range(n)):
+        u1, local = ProperStandard.block_factorize(M, u)
+        want_u1, want_u2 = sorted_coset_factorize(M.offsets, sizes, u)
+        assert u1 == want_u1
+        # a block u2 leaves alone has no word, and none is empty
+        assert all(local.values())
+        word = tuple(M.offsets[t] + c for t, cw in local.items() for c in cw)
+        assert word == sorted_block_word(M.offsets, sizes, want_u2)
+        assert u == tuple(u1[v] for v in perm_of_word(word, n))

@@ -174,7 +174,7 @@ def calibrate(klr: KLR, n: int) -> PolyRep:
                 want = {}
                 for coeff, em in klr.quad_terms(k, word):
                     t = dict(v)
-                    for p, exp in em.items():
+                    for p, exp in enumerate(em):
                         for _ in range(exp):
                             t = rep.act_x(p, t)
                     for key, c in t.items():
@@ -201,7 +201,7 @@ def calibrate(klr: KLR, n: int) -> PolyRep:
                 want = {}
                 for coeff, em in klr.braid_terms(k, word):
                     t = dict(v)
-                    for p, exp in em.items():
+                    for p, exp in enumerate(em):
                         for _ in range(exp):
                             t = rep.act_x(p, t)
                     for key, c in t.items():
