@@ -90,6 +90,10 @@ class RootSystem:
         # p_max searches p in [-p_bound, p_bound]: twice the highest height
         self.p_bound = 2 * sum(pos[-1])
         self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
+        # memos of shuffle.py and pbw.py, shared by every ordering of this system
+        self._shuffle_pair_cache: dict = {}  # word pair -> its shuffle
+        self._root_chars: dict = {}  # each dual root character, interned by value
+        self._solves: dict[tuple[int, int], dict] = {}  # input ids -> r*_alpha
 
     def _build_cartan(self, ct: CartanType) -> tuple[tuple[int, ...], ...]:
         r = ct.rank

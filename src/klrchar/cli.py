@@ -54,12 +54,13 @@ def _parse_eps(text: str | None, rs: RootSystem):
     eps = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if not (re.fullmatch(r"[+-][1-9][1-9]", chunk)
-                and max(int(chunk[1]), int(chunk[2])) <= rs.rank):
+        # two one-digit labels (+12), or any two labels split by a colon (+9:10)
+        m = re.fullmatch(r"([+-])(?:([1-9])([1-9])|([1-9]\d*):([1-9]\d*))", chunk)
+        edge = tuple(int(t) for t in m.groups()[1:] if t) if m else ()
+        if not edge or max(edge) > rs.rank:
             raise ValueError(f"--eps chunk {chunk!r} is not a sign and two node "
-                             f"labels of {rs.cartan_type}, like +12")
-        i, j = int(chunk[1]), int(chunk[2])
-        eps[(i, j)] = 1 if chunk[0] == "+" else -1
+                             f"labels of {rs.cartan_type}, like +12 or +9:10")
+        eps[edge] = 1 if m[1] == "+" else -1
     return eps
 
 

@@ -29,7 +29,6 @@ class ConvexOrder:
         self.rank_of = {b: k for k, b in enumerate(roots)}
         self.label = label
         self._mp_cache: dict[Root, tuple[Root, Root]] = {}
-        self._lyndon_fp_cache: dict[Root, tuple] = {}
 
     def precedes(self, a: Root, b: Root) -> bool:
         return self.rank_of[a] < self.rank_of[b]
@@ -174,20 +173,3 @@ def mp_choice(alpha: Root, order: ConvexOrder) -> tuple[Root, Root]:
         order._mp_cache[alpha] = max(pairs, key=lambda p: order.rank_of[p[1]])
     return order._mp_cache[alpha]
 
-
-def mp_fingerprint(alpha: Root, order: ConvexOrder) -> tuple:
-    """Recursive identity of the mp-recursion tree below alpha.
-
-    Two convex orderings whose trees agree produce identical dual root
-    vector characters, which lets caches be shared across orderings.
-    """
-    cached = order._lyndon_fp_cache.get(alpha)
-    if cached is not None:
-        return cached
-    if sum(alpha) == 1:
-        fp = (alpha,)
-    else:
-        beta, gamma = mp_choice(alpha, order)
-        fp = (alpha, mp_fingerprint(beta, order), mp_fingerprint(gamma, order))
-    order._lyndon_fp_cache[alpha] = fp
-    return fp

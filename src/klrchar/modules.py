@@ -88,6 +88,9 @@ class ProperStandard:
         self.rs = engine.rs
         self.order = order
         self.lam = tuple(tuple(b) for b in lam)
+        for b in self.lam:
+            if b not in self.rs.positive_set:
+                raise ValueError(f"part {b} is not a positive root of {self.rs.cartan_type}")
         for a, b in zip(self.lam, self.lam[1:]):
             if order.rank_of[a] < order.rank_of[b]:
                 raise ValueError("parts must be weakly decreasing")

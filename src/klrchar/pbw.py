@@ -6,9 +6,11 @@ attached to the fixed minimal pair is exactly divisible by
 q^{-p}(1 - q^{2(p - beta.gamma)}), and the quotient is the character.
 Inexact division signals corrupted ordering data and raises.
 
-Characters depend on the ordering only through the minimal-pair recursion
-tree, so results are cached globally under that fingerprint and shared
-between orderings.
+A solve reads nothing but its two input characters, so it is memoized per
+root system on the identities of the two.  Every character handed out,
+simple roots included, is interned per root system, so equal characters
+are one object, and orderings whose minimal-pair recursions reach the same
+two characters share one solve.
 
 Projective characters come from the letter-shuffle fold: the character of
 H 1_j is the shuffle j_1 o ... o j_n of the single letters of j divided by
@@ -24,13 +26,11 @@ from __future__ import annotations
 from collections import Counter
 
 from .cartan import Root, RootSystem, p_max
-from .convex import ConvexOrder, Word, mp_choice, mp_fingerprint
+from .convex import ConvexOrder, Word, mp_choice
 from .kostant import KP, kostant_partitions, kp_scalars, multiplicities
 from .laurent import ExactDivisionError, LaurentPoly
 from .shuffle import (ShuffleElement, q_commutator, sh_dim, sh_word, shuffle,
                       shuffle_letters, word_weight, words_of_weight)
-
-_GLOBAL_ROOT_CHAR_CACHE: dict[tuple, ShuffleElement] = {}
 
 
 class PBWCharacters:
@@ -45,18 +45,17 @@ class PBWCharacters:
         hit = self._table.get(alpha)
         if hit is not None:
             return hit
+        rs = self.rs
         if sum(alpha) == 1:
-            out = sh_word((alpha.index(1) + 1,))
-            self._table[alpha] = out
-            return out
-        fp = (self.rs.key(), mp_fingerprint(alpha, self.order))
-        cached = _GLOBAL_ROOT_CHAR_CACHE.get(fp)
-        if cached is not None:
-            self._table[alpha] = cached
-            return cached
-        beta, gamma = mp_choice(alpha, self.order)
-        out = self._solve(alpha, beta, gamma)
-        _GLOBAL_ROOT_CHAR_CACHE[fp] = out
+            out = _intern(sh_word((alpha.index(1) + 1,)), rs)
+        else:
+            beta, gamma = mp_choice(alpha, self.order)
+            # both inputs are interned in rs._root_chars, which keeps them
+            # alive, so their ids name them for as long as rs._solves exists
+            key = (id(self.dual_root(beta)), id(self.dual_root(gamma)))
+            out = rs._solves.get(key)
+            if out is None:
+                out = rs._solves[key] = _intern(self._solve(alpha, beta, gamma), rs)
         self._table[alpha] = out
         return out
 
@@ -91,6 +90,11 @@ class PBWCharacters:
         if out is None:
             out = sh_word(())
         return {w: c.shift(s) for w, c in out.items()}
+
+
+def _intern(ch: ShuffleElement, rs: RootSystem) -> ShuffleElement:
+    """The one stored character of rs equal to ch; ch itself if it is new."""
+    return rs._root_chars.setdefault(frozenset(ch.items()), ch)
 
 
 def divisor(ks: Counter) -> LaurentPoly:

@@ -3,8 +3,7 @@
 A shuffle element is a sparse dict word -> LaurentPoly.  The product of two
 words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts crossing
 pairs weighted by minus the form on the letters.  Single word-pair products
-are enumerated depth first from an explicit stack and memoized per root
-system, since they recur heavily across orderings.
+are enumerated depth first from an explicit stack.
 
 `shuffle` and `q_commutator` share one pass over the word pairs, which adds
 into raw exponent dicts that become Laurent polynomials once, at the end.
@@ -13,6 +12,11 @@ the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), it reads the exponents of
 v o u off those of u o v.  It is the one rank-two building block: the solve
 for dual root vectors divides it, and the length-two check compares it with
 the root character it produces.
+
+Only `shuffle` memoizes word-pair products, in the root system's
+`_shuffle_pair_cache`: the products of dual PBW monomials along Kostant
+partitions meet the same pairs again.  A q-commutator's pairs do not recur,
+since the solves that call it are memoized on their inputs (pbw.py).
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
@@ -49,13 +53,6 @@ def deg_stat(w_perm: tuple[int, ...], word: Word, rs: RootSystem) -> int:
 
 def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
     """Shuffle of two single words; exponents as raw dicts."""
-    cache = getattr(rs, "_shuffle_pair_cache", None)
-    if cache is None:
-        cache = rs._shuffle_pair_cache = {}
-    key = (i, j)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     B = rs.bilinear_matrix
     m, n = len(i), len(j)
     # crossing cost of pulling j[b] in front of the rest of i starting at a
@@ -81,8 +78,15 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
             continue
         stack.append((a, b + 1, prefix + (j[b],), exp + suffix_cost[a][b]))
         stack.append((a + 1, b, prefix + (i[a],), exp))
-    cache[key] = out
     return out
+
+
+def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
+    """_pair_shuffle through the root system's word-pair memo."""
+    hit = rs._shuffle_pair_cache.get((i, j))
+    if hit is None:
+        hit = rs._shuffle_pair_cache[(i, j)] = _pair_shuffle(i, j, rs)
+    return hit
 
 
 def _finish(acc: dict[Word, dict[int, int]]) -> ShuffleElement:
@@ -105,6 +109,7 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     """
     B = rs.bilinear_matrix
     twist = s is not None
+    pair = _pair_shuffle if twist else _memo_pair_shuffle
     # (|u|,|v|) is the sum of (B|v|)_x over the letters x of u
     b_form = {v: [sum(B[y - 1][x] for y in v) for x in range(rs.rank)] for v in b}
     acc: dict[Word, dict[int, int]] = {}
@@ -115,7 +120,7 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
                 continue
             if twist:
                 t = s - sum(b_form[v][x - 1] for x in u)
-            for word, exps in _pair_shuffle(u, v, rs).items():
+            for word, exps in pair(u, v, rs).items():
                 d = acc.get(word)
                 if d is None:
                     d = acc[word] = {}

@@ -130,6 +130,16 @@ def test_unparsable_parts_names_the_option(capsys, parts):
     assert json.loads(out) == {"error": "--parts entries need 3 coefficients"}
 
 
+@pytest.mark.parametrize("part", ["2,0", "0,0"])
+def test_part_that_is_not_a_root_is_named(capsys, part):
+    code, out, err = run_cli(capsys, "gram", "--type", "A", "--rank", "2",
+                             "--parts", part, "--word", "11")
+    assert code == 1
+    want = f"part ({part.replace(',', ', ')}) is not a positive root of A2"
+    assert json.loads(out) == {"error": want}
+    assert "Traceback" not in err
+
+
 def test_resolve_a3(capsys):
     code, out, _ = run_cli(capsys, "resolve", "--type", "A", "--rank", "3",
                            "--alpha", "1,1,1")
@@ -290,7 +300,8 @@ def test_bad_word_named(capsys):
     assert "--order" in json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("eps", ["+1", "12", "*12", "+123", "+14"])
+@pytest.mark.parametrize("eps", ["+1", "12", "*12", "+123", "+14", "+1:4", "+1:",
+                                 "+0:1", "+1:2:3", "1:2", "+01:2"])
 def test_malformed_eps_named(capsys, eps):
     code, out, _ = run_cli(capsys, "resolve", "--type", "A", "--rank", "3",
                            "--alpha", "1,1,1", "--eps", eps)
@@ -466,8 +477,9 @@ def test_stdout_is_byte_identical(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
-# --eps on the Dynkin edges: each edge gets a sign, written as +ij or -ji
-EPS_TYPES = [("A", 3), ("B", 3), ("D", 4), ("G", 2), ("E", 6)]
+# --eps on the Dynkin edges: each edge gets a sign, written as +ij or -ji,
+# or with a colon (+i:j), which labels of 10 and above need
+EPS_TYPES = [("A", 3), ("B", 3), ("D", 4), ("G", 2), ("E", 6), ("A", 11), ("D", 10)]
 
 
 def dynkin_edges(rs):
@@ -479,21 +491,22 @@ def dynkin_edges(rs):
 def eps_text(draw):
     fam, rank = draw(st.sampled_from(EPS_TYPES))
     rs = RootSystem(CartanType(fam, rank))
-    chunks, full = [], {}
+    edge_of, full = {}, {}
     for i, j in dynkin_edges(rs):
         s = draw(st.sampled_from((1, -1)))
         full[(i, j)], full[(j, i)] = s, -s
-        written = draw(st.sampled_from([[(i, j)], [(j, i)], [(i, j), (j, i)]]))
-        chunks += [("+" if full[e] > 0 else "-") + f"{e[0]}{e[1]}" for e in written]
-    return rs, draw(st.permutations(chunks)), full
+        for a, b in draw(st.sampled_from([[(i, j)], [(j, i)], [(i, j), (j, i)]])):
+            sep = ":" if max(a, b) > 9 or draw(st.booleans()) else ""
+            edge_of[f"{'+' if full[(a, b)] > 0 else '-'}{a}{sep}{b}"] = (a, b)
+    return rs, draw(st.permutations(list(edge_of))), edge_of, full
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(eps_text())
 def test_parse_eps_completes_to_the_drawn_signs(drawn):
-    rs, chunks, full = drawn
+    rs, chunks, edge_of, full = drawn
     eps = cli._parse_eps(",".join(chunks), rs)
-    assert eps == {(int(c[1]), int(c[2])): 1 if c[0] == "+" else -1 for c in chunks}
+    assert eps == {e: full[e] for e in edge_of.values()}
     assert KLR(rs, eps).eps == full
 
 

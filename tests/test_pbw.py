@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
-from klrchar.convex import (lyndon_order, minimal_pairs,
+from klrchar.convex import (lyndon_order, minimal_pairs, mp_choice,
                             order_from_reduced_word, random_reduced_word)
 from klrchar.kostant import kostant_partitions, kp_less, kp_scalars
 from klrchar.laurent import ExactDivisionError, LaurentPoly, series
@@ -285,3 +285,65 @@ def test_inexact_division_detected():
         bad_div = LaurentPoly({-1: 1}) - LaurentPoly({3: 1})
         for w, c in num.items():
             c.exact_div(bad_div)
+
+
+# solves are memoized per root system on the identities of their two input
+# characters; the reference is a fresh root system per order, sharing nothing
+MEMO_TYPES = [("F", 4), ("B", 3), ("D", 4), ("G", 2)]
+
+
+def memo_order(rs, word):
+    return lyndon_order(rs) if word is None else order_from_reduced_word(word, rs)
+
+
+@pytest.mark.parametrize("fam,rank", MEMO_TYPES)
+def test_solve_memo_matches_fresh_root_systems(fam, rank, monkeypatch):
+    ct = CartanType(fam, rank)
+    rs = RootSystem(ct)
+    rng = random.Random(13)
+    words = [random_reduced_word(rs, rng) for _ in range(30)]
+    solved = []
+    solve = PBWCharacters._solve
+
+    def counting(self, alpha, beta, gamma):
+        if self.rs is rs:
+            solved.append(alpha)
+        return solve(self, alpha, beta, gamma)
+
+    monkeypatch.setattr(PBWCharacters, "_solve", counting)
+    inputs = set()
+    for word in [None] + words:
+        order = memo_order(rs, word)
+        shared = PBWCharacters(order)
+        fresh = PBWCharacters(memo_order(RootSystem(ct), word))
+        for alpha in rs.positive_roots:
+            assert shared.dual_root(alpha) == fresh.dual_root(alpha), (word, alpha)
+            if sum(alpha) > 1:
+                beta, gamma = mp_choice(alpha, order)
+                inputs.add((frozenset(shared.dual_root(beta).items()),
+                            frozenset(shared.dual_root(gamma).items())))
+    # one solve per distinct pair of input characters, compared by value
+    assert len(solved) == len(inputs)
+
+
+def test_new_root_system_starts_with_empty_memos():
+    ct = CartanType("B", 3)
+    rs = RootSystem(ct)
+    pbw = PBWCharacters(lyndon_order(rs))
+    for lam in kostant_partitions((1, 2, 2), pbw.order):
+        pbw.proper_standard(lam)
+    assert rs._solves and rs._root_chars and rs._shuffle_pair_cache
+    fresh = RootSystem(ct)
+    assert fresh._solves == fresh._root_chars == fresh._shuffle_pair_cache == {}
+
+
+def test_pair_memo_serves_element_shuffles_only():
+    rs = RootSystem(CartanType("F", 4))
+    pbw = PBWCharacters(lyndon_order(rs))
+    for alpha in rs.positive_roots:
+        pbw.dual_root(alpha)
+    # the solves' q-commutators neither read nor fill the word-pair memo
+    assert rs._shuffle_pair_cache == {}
+    lam = next(lam for lam in kostant_partitions((1, 1, 1, 0), pbw.order) if len(lam) > 1)
+    pbw.proper_standard(lam)
+    assert rs._shuffle_pair_cache

@@ -39,9 +39,7 @@ def test_every_wrapped_name_resolves(tracer):
                 assert callable(where.get(name)), (layer, module_name, cls_name, name)
 
 
-def test_wrapped_names_stay_on_their_call_paths(tracer, monkeypatch):
-    # a private root-character cache, so the solves below really run
-    monkeypatch.setattr(pbw_mod, "_GLOBAL_ROOT_CHAR_CACHE", {})
+def test_wrapped_names_stay_on_their_call_paths(tracer):
     rs = RootSystem(CartanType("A", 3))
     order = lyndon_order(rs)
     # the tracer rebinds names inside klrchar, so call through the modules
