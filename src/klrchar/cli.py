@@ -83,7 +83,8 @@ def _emit(doc: dict, args, table: str):
         with open(args.out, "w") as fh:
             fh.write(blob + "\n")
     else:
-        print(blob)
+        # flushed here, so that a closed pipe raises inside main
+        print(blob, flush=True)
     if table:
         print(table, file=sys.stderr)
 
@@ -265,7 +266,7 @@ def cmd_gram(args, rs: RootSystem) -> int:
         if args.parts or args.word or args.eps or args.degree or args.order != "lyndon":
             return _fail("--willcex fixes --parts, --word, --eps, --degree and --order")
         M = verify_mod.willcex_module()
-        G = verify_mod.willcex_gram()
+        G = verify_mod.willcex_gram(M)
         lam = M.lam
         word = verify_mod.WILLCEX_WORD
         degree = 0
@@ -421,7 +422,12 @@ def _apply_config(args, argv: list[str], parser):
     if not args.config:
         return args
     with open(args.config) as fh:
-        conf = json.load(fh)
+        try:
+            conf = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"--config {args.config}: {e}") from None
+    if not isinstance(conf, dict):
+        raise ValueError(f"--config {args.config} holds no JSON object")
     options = []
     for key, value in conf.items():
         if value is True:
@@ -442,6 +448,11 @@ def main(argv=None) -> int:
             return cmd_verify_all(args)
         rs = RootSystem(CartanType(args.family, args.rank))
         return COMMANDS[args.command](args, rs)
+    except BrokenPipeError:
+        # the reader closed stdout: no error document can reach it, and
+        # the flush at exit must not try the buffered output again
+        sys.stdout = None
+        return 1
     except (ValueError, ArithmeticError, OSError) as e:
         return _fail(str(e))
     except Exception as e:

@@ -143,7 +143,6 @@ class KLR:
                 raise ValueError(f"sign convention violates eps({i},{j})eps({j},{i}) = -1")
         self.term_budget = term_budget
         self._ttp: dict[tuple, Element] = {}
-        self._w2n: dict[tuple, Element] = {}
         self._zeros: dict[int, tuple] = {}
 
     def _guard(self, elem: Element) -> Element:
@@ -273,23 +272,15 @@ class KLR:
 
     def word_to_normal(self, seq, i) -> Element:
         """Normal form of a product of taus along a reduced word."""
-        key = (seq, i)
-        hit = self._w2n.get(key)
-        if hit is not None:
-            return hit
-        n = len(i)
-        v = perm_of_word(seq, n)
+        v = perm_of_word(seq, len(i))
         cv = canon_word(v)
         if tuple(seq) == cv:
-            out = self.monomial(i, v)
-        else:
-            tail, corr = self.front_elem(tuple(seq), cv[0], tuple(i))
-            inner = self.word_to_normal(tail, i)
-            out = self.lmul_tau(cv[0], inner)
-            if corr:
-                out = elem_add(out, corr)
-        self._w2n[key] = self._guard(out)
-        return out
+            return self.monomial(i, v)
+        tail, corr = self.front_elem(tuple(seq), cv[0], tuple(i))
+        out = self.lmul_tau(cv[0], self.word_to_normal(tail, i))
+        if corr:
+            out = elem_add(out, corr)
+        return self._guard(out)
 
     def front_elem(self, seq, g: int, i) -> tuple[tuple, Element]:
         """Rewrite so the word starts with g: tau_seq 1_i = tau_g tau_tail 1_i + corr.

@@ -9,7 +9,9 @@ as zero on homogeneous cuspidal representations).
 
 The form is computed by the projection recipe: apply the transposed
 generator word, read off the coefficient of the distinguished block
-involution x, and permute tensor slots by y.
+involution x, and permute tensor slots by y.  Each module keeps the image
+of every generator on every basis vector it has met, for its whole life,
+so Gram matrices and actions on one module straighten each image once.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ class ProperStandard:
         self.s_shift = kp_scalars(self.lam, order)[1]
         self.y = self._build_y()
         self.x = self._build_x()
-        # (k, basis vector) -> image of tau_k, filled during gram_matrix only
-        self._images: dict | None = None
+        # (k, basis vector) -> image of tau_k, kept for the module's life
+        self._images: dict = {}
 
     # -- block combinatorics -------------------------------------------------
 
@@ -212,12 +214,14 @@ class ProperStandard:
             pos = p
             for idx, c in enumerate(cw):
                 if pos == c or pos == c + 1:
-                    rest = cw[idx + 1:]
-                    jrest = apply_perm_word(perm_of_word(rest, self.n), jword)
+                    # a suffix of a canonical word is canonical, so its tau
+                    # product on 1_jword is the monomial of its permutation v
+                    v = perm_of_word(cw[idx + 1:], self.n)
+                    jrest = apply_perm_word(v, jword)
                     if jrest[c] == jrest[c + 1]:
                         sign = -1 if pos == c else 1
                         sub = self.engine.apply_tau_word(
-                            cw[:idx] + rest, self.engine.idempotent(jword))
+                            cw[:idx], self.engine.monomial(jword, v))
                         for (iw, wv, b), cc in sub.items():
                             b2 = tuple(x + y for x, y in zip(exps2, b))
                             self._reduce_term(sign * coeff * cc, b2, wv, words, out)
@@ -237,22 +241,20 @@ class ProperStandard:
     def _tau_image(self, k: int, basis_vec) -> dict:
         """tau_k on one standard basis vector, in the standard basis.
 
-        Inside gram_matrix the image is looked up in, or stored into, the
-        table of that call; _reduce_term is linear in its coefficient, so an
-        image is stored for coefficient 1 and scaled by act_tau.
+        The image is looked up in, or stored into, the module's table, so
+        every Gram matrix and action straightens it once; _reduce_term is
+        linear in its coefficient, so an image is stored for coefficient 1
+        and scaled by act_tau.
         """
-        table = self._images
-        if table is not None:
-            hit = table.get((k, basis_vec))
-            if hit is not None:
-                return hit
+        hit = self._images.get((k, basis_vec))
+        if hit is not None:
+            return hit
         u, words = basis_vec
         image: dict = {}
         E = self.engine.tau_times_perm(k, u, self.concat(words))
         for (iw, wv, b), c in E.items():
             self._reduce_term(c, b, wv, words, image)
-        if table is not None:
-            table[(k, basis_vec)] = image
+        self._images[(k, basis_vec)] = image
         return image
 
     def act_x(self, p: int, vec: dict) -> dict:
@@ -338,13 +340,7 @@ class ProperStandard:
     def gram_matrix(self, word: Word, degree: int = 0):
         rows = self.slice_basis(word, degree)
         cols = rows if degree == 0 else self.slice_basis(word, -degree)
-        # the pairings of one matrix repeat most generator actions; the
-        # table lives for this call only, which keeps peak memory flat
-        self._images = {}
-        try:
-            return [[self.pair_basis(r, c) for c in cols] for r in rows]
-        finally:
-            self._images = None
+        return [[self.pair_basis(r, c) for c in cols] for r in rows]
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every

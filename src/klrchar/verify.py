@@ -220,8 +220,8 @@ def willcex_basis_words():
             b + c1 + c2 + c4, b + c1 + c2 + c3]
 
 
-def willcex_gram() -> list[list[int]]:
-    M = willcex_module()
+def willcex_gram(M: ProperStandard) -> list[list[int]]:
+    """The Gram matrix of willcex_basis_words on the module M of willcex_module."""
     words = willcex_basis_words()
     v0 = M.cyclic()
     vecs = [M.act_word(w, v0) for w in words]
@@ -237,7 +237,7 @@ def check_willcex() -> dict:
     slice0 = M.slice_basis(WILLCEX_WORD, 0)
     if len(slice0) != 5:
         problems.append(f"slice dimension {len(slice0)} != 5")
-    G = willcex_gram()
+    G = willcex_gram(M)
     if any(abs(e) > 1 for row in G for e in row):
         problems.append("entries outside {0, +-1}")
     if any(G[p][q] != G[q][p] for p in range(5) for q in range(5)):

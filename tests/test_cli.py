@@ -330,6 +330,59 @@ def test_config_dest_differs_from_flag(tmp_path, capsys):
     assert list(tmp_path.glob("canonical-*.json"))
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"roots"', "{"])
+def test_config_not_an_object_is_named(tmp_path, capsys, text):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    code, out, err = run_cli(capsys, "roots", "--config", str(conf))
+    assert code == 1
+    assert "Traceback" not in err
+    error = json.loads(out)["error"]
+    assert error.startswith(f"--config {conf}")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write fails."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(["roots", "--type", "G", "--rank", "2"])
+    assert code == 1
+    # the failed write is the only one: no error document follows it
+    assert pipe.writes == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # a block-buffered stdout keeps the failed output, and the flush at
+    # interpreter exit would fail on it again
+    src = os.path.dirname(os.path.dirname(klrchar.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "klrchar.cli", "roots"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 # the options each subcommand reads, besides --out and --config
 READS = {
     "roots": {"type", "rank", "order"},

@@ -393,9 +393,15 @@ def entrywise_gram(M, word, degree):
     return [[M.pair_basis(r, c) for c in cols] for r in rows]
 
 
+def fresh_module(M):
+    """The module M on a new engine: it shares no table with M."""
+    return ProperStandard(KLR(M.rs, M.engine.eps), M.order, M.lam)
+
+
 def test_gram_matrix_matches_entrywise_pairing():
-    # gram_matrix shares generator images between its entries through a
-    # table; pair_basis outside it computes every entry afresh
+    # a module keeps its generator images across calls, so every matrix
+    # after the first reads images that earlier ones stored; the entrywise
+    # oracle runs on a fresh module, whose table starts empty
     from klrchar import verify
 
     M = verify.willcex_module()
@@ -408,9 +414,11 @@ def test_gram_matrix_matches_entrywise_pairing():
     cases += [(equal_parts, (1, 1, 2, 2), 2), (equal_parts, (1, 1, 2, 2), -2)]
     for module, w, d in cases:
         G = module.gram_matrix(w, d)
-        assert G and G == entrywise_gram(module, w, d), (w, d)
-        # the table of images lives for one gram_matrix call only
-        assert not module._images
+        assert G and G == entrywise_gram(fresh_module(module), w, d), (w, d)
+        # a repeated call reads every image from the table and stores none
+        size = len(module._images)
+        assert module.gram_matrix(w, d) == G
+        assert len(module._images) == size
 
 
 # -- the block factorization against the sort-based one ------------------------
