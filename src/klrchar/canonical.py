@@ -11,6 +11,11 @@ from vec[kappa] for every kappa at or below mu in that order.  b*_mu vanishes
 at i_nu unless nu <= mu, so no entry fixed earlier moves.  The character
 E*_lambda - sum c_mu b*_mu is then assembled once, in raw exponent dicts, and
 checked at every i_mu to equal the vector and to be bar-invariant.
+
+The word-pair memo of the root system (shuffle.py) serves the products
+E*_lambda of one weight and is cleared when that weight is done.  The
+on-disk cache is streamed: a header line, then one line per partition, so
+neither writing nor reading it builds the whole document.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .convex import ConvexOrder, Word
 from .kostant import KP, kostant_partitions, kp_less, kp_scalars, kp_sort_key, sum_weight
 from .laurent import ExactDivisionError, LaurentPoly
 from .pbw import PBWCharacters
-from .shuffle import ShuffleElement, _finish, parse_word, render_word, sh_to_json
+from .shuffle import ShuffleElement, _finish, render_word
 
 
 class CorrectionError(ArithmeticError):
@@ -72,6 +77,12 @@ class CanonicalTable:
         hit = self._table.get(lam)
         if hit is not None:
             return hit
+        # a Kostant partition lists roots of the order, weakly decreasing
+        r = self.order.rank_of
+        if not (all(b in r for b in lam)
+                and all(r[a] >= r[b] for a, b in zip(lam, lam[1:]))):
+            raise ValueError(f"{lam} is not a Kostant partition of order "
+                             f"{self.order.label}")
         self.compute_weight(sum_weight(lam, self.rs))
         return self._table[lam]
 
@@ -92,8 +103,10 @@ class CanonicalTable:
                 below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
                          if kp_less(mu, lam, self.order)]
                 self._table[lam] = self._leclerc(lam, below)
-        if todo and self.cache_dir:
-            self._save_cache()
+            # the word pairs of one weight's products recur only within it
+            self.rs._shuffle_pair_cache.clear()
+            if self.cache_dir:
+                self._save_cache()
         return kps
 
     # -- the algorithm -------------------------------------------------------
@@ -121,12 +134,13 @@ class CanonicalTable:
                     vec[k] = vec[k] - c * coeff
             terms.append((b_mu, c))
         for b_mu, c in terms:
-            for f, y in c.c.items():
-                for w, p in b_mu.items():
-                    d = acc.get(w)
-                    if d is None:
-                        d = acc[w] = {}
-                    for e, x in p.c.items():
+            cs = list(c.c.items())
+            for w, p in b_mu.items():
+                d = acc.get(w)
+                if d is None:
+                    d = acc[w] = {}
+                for e, x in p.c.items():
+                    for f, y in cs:
                         k = e + f
                         d[k] = d.get(k, 0) - x * y
         out = _finish(acc)
@@ -152,47 +166,50 @@ class CanonicalTable:
         path = self._cache_path()
         if not path.exists():
             return
+        table = {}
         try:
-            doc = json.loads(path.read_text())
-            if doc.get("order") != self.order.fingerprint():
-                return
-            table = {
-                tuple(tuple(part) for part in entry["kp"]): {
-                    parse_word(item["word"]): LaurentPoly.from_json(item["coeff"])
-                    for item in entry["character"]}
-                for entry in doc.get("entries", [])}
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            with path.open() as fh:
+                head = json.loads(fh.readline())
+                if head.get("schema") != 2 or head.get("order") != self.order.fingerprint():
+                    return
+                for line in fh:
+                    kp, words, coeffs = json.loads(line)
+                    lam = tuple(tuple(part) for part in kp)
+                    height = sum(map(sum, lam))
+                    ch = table[lam] = {}
+                    for w, flat in zip(words, coeffs, strict=True):
+                        # a word of another length than its partition's
+                        # height cannot be one of its words: a corrupt file
+                        if len(w) != height:
+                            return
+                        ch[tuple(w)] = LaurentPoly(dict(zip(flat[::2], flat[1::2],
+                                                            strict=True)))
+        except (OSError, ValueError, TypeError, AttributeError):
             return
-        # a word whose length is not its weight's height was misread (a
-        # stored "10" for the one-letter word (10,) reads as (1, 0)): a miss
-        for lam, ch in table.items():
-            height = sum(map(sum, lam))
-            if any(len(w) != height for w in ch):
-                return
         self._table.update(table)
 
     def _save_cache(self):
+        """Write the table as a header line, then one line per partition.
+
+        A line is [kp, words, coeffs]: the words as lists of labels, and for
+        each word its coefficient as a flat [exponent, coefficient, ...] list.
+        """
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        entries = []
-        for lam in sorted(self._table, key=lambda l: (len(l), l)):
-            entries.append({
-                "kp": [list(part) for part in lam],
-                "character": sh_to_json(self._table[lam]),
-            })
-        doc = {
-            "type": self.rs.cartan_type.family,
-            "rank": self.rs.rank,
-            "order": self.order.fingerprint(),
-            "entries": entries,
-        }
+        head = {"schema": 2, "type": self.rs.cartan_type.family,
+                "rank": self.rs.rank, "order": self.order.fingerprint()}
         # a reader never sees a half-written file
         path = self._cache_path()
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(doc, sort_keys=True))
+                fh.write(json.dumps(head) + "\n")
+                for lam in sorted(self._table, key=lambda l: (len(l), l)):
+                    ch = self._table[lam]
+                    words = sorted(ch)
+                    coeffs = [[x for term in sorted(ch[w].c.items()) for x in term]
+                              for w in words]
+                    fh.write(json.dumps([lam, words, coeffs]) + "\n")
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
-

@@ -83,13 +83,15 @@ class PBWCharacters:
     def proper_standard(self, lam: KP) -> ShuffleElement:
         """Ch of the shifted product of cuspidal characters along lambda."""
         _, s, _, _ = kp_scalars(lam, self.order)
+        # the product is bilinear, so q^s goes on the first factor alone
         out = None
         for part in lam:
             ch = self.dual_root(part)
-            out = ch if out is None else shuffle(out, ch, self.rs)
-        if out is None:
-            out = sh_word(())
-        return {w: c.shift(s) for w, c in out.items()}
+            if out is None:
+                out = {w: c.shift(s) for w, c in ch.items()}
+            else:
+                out = shuffle(out, ch, self.rs)
+        return sh_word(()) if out is None else out
 
 
 def _intern(ch: ShuffleElement, rs: RootSystem) -> ShuffleElement:

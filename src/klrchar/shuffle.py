@@ -16,7 +16,10 @@ the root character it produces.
 Only `shuffle` memoizes word-pair products, in the root system's
 `_shuffle_pair_cache`: the products of dual PBW monomials along Kostant
 partitions meet the same pairs again.  A q-commutator's pairs do not recur,
-since the solves that call it are memoized on their inputs (pbw.py).
+since the solves that call it are memoized on their inputs (pbw.py).  The
+memo lives for one weight of a canonical table: the products of that
+weight's partitions share pairs, and `CanonicalTable.compute_weight` clears
+it when the weight is done, so it never holds more than one weight's pairs.
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import tempfile
 
 import pytest
@@ -197,30 +198,79 @@ def test_cache_round_trip_property(drawn):
 
 
 def test_misread_word_makes_the_cache_a_miss(tmp_path):
-    # a file that stores the one-letter word (10,) as "10" reads it as (1, 0)
+    # a stored word whose length is not its partition's height: the
+    # one-letter word (10,) stored as [1, 0]
     rs = RootSystem(CartanType("A", 10))
     o = lyndon_order(rs)
     weight = (0,) * 9 + (1,)
     saved = CanonicalTable(o, cache_dir=tmp_path)
     kps = saved.compute_weight(weight)
     path = saved._cache_path()
-    assert '"10,"' in path.read_text()
-    path.write_text(path.read_text().replace('"10,"', '"10"'))
+    assert "[[10]]" in path.read_text()
+    path.write_text(path.read_text().replace("[[10]]", "[[1, 0]]"))
     table = CanonicalTable(o, cache_dir=tmp_path)
     assert table._table == {}
     assert table.char(kps[0]) == {(10,): LaurentPoly.one()}
 
 
+def test_schema_one_cache_is_a_miss_and_rewritten(tmp_path):
+    # the earlier format: one document with rendered words and no schema key
+    rs = RootSystem(CartanType("A", 10))
+    o = lyndon_order(rs)
+    lam = ((0,) * 9 + (1,),)
+    path = CanonicalTable(o, cache_dir=tmp_path)._cache_path()
+    path.write_text(json.dumps({
+        "entries": [{"character": [{"coeff": {"0": 1}, "word": "10,"}],
+                     "kp": [list(lam[0])]}],
+        "order": o.fingerprint(), "rank": 10, "type": "A"}, sort_keys=True))
+    table = CanonicalTable(o, cache_dir=tmp_path)
+    assert table._table == {}
+    assert table.char(lam) == {(10,): LaurentPoly.one()}
+    assert json.loads(path.read_text().splitlines()[0])["schema"] == 2
+    reloaded = CanonicalTable(o, pbw=RefusingPBW(), cache_dir=tmp_path)
+    assert reloaded.char(lam) == {(10,): LaurentPoly.one()}
+
+
 def test_unreadable_cache_is_a_miss(tmp_path):
     rs = RootSystem(CartanType("G", 2))
     o = lyndon_order(rs)
-    path = CanonicalTable(o, cache_dir=tmp_path)._cache_path()
+    saved = CanonicalTable(o, cache_dir=tmp_path)
+    saved.compute_weight((2, 1))
+    path = saved._cache_path()
+    head, first, _ = path.read_text().split("\n", 2)
+    cut = head + "\n" + first[:len(first) // 2]
     for text in ("{", "[]", json.dumps({"order": o.fingerprint(),
-                                        "entries": [{"kp": [[1, 0]]}]})):
+                                        "entries": [{"kp": [[1, 0]]}]}), cut):
         path.write_text(text)
         table = CanonicalTable(o, cache_dir=tmp_path)
         assert table._table == {}
         assert table.char(((1, 1),))
+
+
+def test_char_of_a_non_kostant_partition_is_refused():
+    rs = RootSystem(CartanType("A", 2))
+    table = CanonicalTable(lyndon_order(rs))
+    # parts out of order, and a part that is no root of A2
+    for lam in (((1, 0), (0, 1)), ((1, 1, 0),)):
+        with pytest.raises(ValueError, match=rf"{re.escape(str(lam))} is not a "
+                                             r"Kostant partition of order lyndon"):
+            table.char(lam)
+    assert table._table == {}
+    assert table.pbw._table == {}
+
+
+def test_pair_memo_lives_for_one_weight():
+    ct = CartanType("B", 3)
+    rs = RootSystem(ct)
+    table = CanonicalTable(lyndon_order(rs))
+    for weight in ((1, 2, 2), (1, 1, 2), (0, 2, 2)):
+        table.pbw.proper_standard(((1, 1, 0), (0, 0, 1)))
+        assert rs._shuffle_pair_cache
+        kps = table.compute_weight(weight)
+        assert rs._shuffle_pair_cache == {}
+        fresh = CanonicalTable(lyndon_order(RootSystem(ct)))
+        for lam in kps:
+            assert sh_eq(table.char(lam), fresh.char(lam)), (weight, lam)
 
 
 def test_sort_order_extends_kp_order():
