@@ -103,7 +103,8 @@ class CanonicalTable:
                 below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
                          if kp_less(mu, lam, self.order)]
                 self._table[lam] = self._leclerc(lam, below)
-            # the word pairs of one weight's products recur only within it
+            # the word-pair memo serves this weight's products; kept past
+            # them it would hold about 6 MB for B3 at (2,4,4)
             self.rs._shuffle_pair_cache.clear()
             if self.cache_dir:
                 self._save_cache()

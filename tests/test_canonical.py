@@ -238,9 +238,12 @@ def test_unreadable_cache_is_a_miss(tmp_path):
     saved.compute_weight((2, 1))
     path = saved._cache_path()
     head, first, _ = path.read_text().split("\n", 2)
+    # cut off mid-line, and a whole line under another schema's header
     cut = head + "\n" + first[:len(first) // 2]
+    other = head.replace('"schema": 2', '"schema": 3') + "\n" + first + "\n"
+    assert other != head + "\n" + first + "\n"
     for text in ("{", "[]", json.dumps({"order": o.fingerprint(),
-                                        "entries": [{"kp": [[1, 0]]}]}), cut):
+                                        "entries": [{"kp": [[1, 0]]}]}), cut, other):
         path.write_text(text)
         table = CanonicalTable(o, cache_dir=tmp_path)
         assert table._table == {}
