@@ -12,10 +12,10 @@ at i_nu unless nu <= mu, so no entry fixed earlier moves.  The character
 E*_lambda - sum c_mu b*_mu is then assembled once, in raw exponent dicts, and
 checked at every i_mu to equal the vector and to be bar-invariant.
 
-The word-pair memo of the root system (shuffle.py) serves the products
-E*_lambda of one weight and is cleared when that weight is done.  The
-on-disk cache is streamed: a header line, then one line per partition, so
-neither writing nor reading it builds the whole document.
+A table drops the root system's word-pair memo when it finishes a weight
+(shuffle.drop_pair_memo).  The on-disk cache is streamed: a header line,
+then one line per partition, so neither writing nor reading it builds the
+whole document.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import tempfile
 from pathlib import Path
 
 from .convex import ConvexOrder, Word
-from .kostant import KP, kostant_partitions, kp_less, kp_scalars, kp_sort_key, sum_weight
+from .kostant import (KP, check_kp, kostant_partitions, kp_less, kp_scalars,
+                      kp_sort_key, sum_weight)
 from .laurent import ExactDivisionError, LaurentPoly
 from .pbw import PBWCharacters
-from .shuffle import ShuffleElement, _finish, render_word
+from .shuffle import ShuffleElement, _finish, drop_pair_memo, render_word
 
 
 class CorrectionError(ArithmeticError):
@@ -77,12 +78,11 @@ class CanonicalTable:
         hit = self._table.get(lam)
         if hit is not None:
             return hit
-        # a Kostant partition lists roots of the order, weakly decreasing
-        r = self.order.rank_of
-        if not (all(b in r for b in lam)
-                and all(r[a] >= r[b] for a, b in zip(lam, lam[1:]))):
+        try:
+            check_kp(lam, self.order)
+        except ValueError as e:
             raise ValueError(f"{lam} is not a Kostant partition of order "
-                             f"{self.order.label}")
+                             f"{self.order.label}: {e}") from None
         self.compute_weight(sum_weight(lam, self.rs))
         return self._table[lam]
 
@@ -103,9 +103,7 @@ class CanonicalTable:
                 below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
                          if kp_less(mu, lam, self.order)]
                 self._table[lam] = self._leclerc(lam, below)
-            # the word-pair memo serves this weight's products; kept past
-            # them it would hold about 6 MB for B3 at (2,4,4)
-            self.rs._shuffle_pair_cache.clear()
+            drop_pair_memo(self.rs)
             if self.cache_dir:
                 self._save_cache()
         return kps

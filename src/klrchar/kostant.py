@@ -41,6 +41,17 @@ def kostant_partitions(weight, order: ConvexOrder) -> list[KP]:
     return out
 
 
+def check_kp(lam: KP, order: ConvexOrder) -> None:
+    """Raise ValueError unless lam is a Kostant partition of the order."""
+    r = order.rank_of
+    for b in lam:
+        if b not in r:
+            raise ValueError(f"part {b} is not a positive root of {order.rs.cartan_type}")
+    for a, b in zip(lam, lam[1:]):
+        if r[a] < r[b]:
+            raise ValueError("parts must be weakly decreasing")
+
+
 def kp_less(lam: KP, mu: KP, order: ConvexOrder) -> bool:
     """Strict comparison lam < mu in the KP order.
 

@@ -22,7 +22,7 @@ from .cartan import Root, RootSystem
 from .convex import ConvexOrder, Word, good_lyndon_words
 from .klr import (KLR, Perm, add_into, apply_perm_word, canon_word,
                   perm_id, perm_len, perm_of_word)
-from .kostant import kp_scalars
+from .kostant import check_kp, kp_scalars
 from .pbw import PBWCharacters
 
 
@@ -90,12 +90,7 @@ class ProperStandard:
         self.rs = engine.rs
         self.order = order
         self.lam = tuple(tuple(b) for b in lam)
-        for b in self.lam:
-            if b not in self.rs.positive_set:
-                raise ValueError(f"part {b} is not a positive root of {self.rs.cartan_type}")
-        for a, b in zip(self.lam, self.lam[1:]):
-            if order.rank_of[a] < order.rank_of[b]:
-                raise ValueError("parts must be weakly decreasing")
+        check_kp(self.lam, order)
         lwords = good_lyndon_words(self.rs)
         try:
             self.reps = [HomogRep(self.rs, lwords[b]) for b in self.lam]

@@ -16,10 +16,8 @@ the root character it produces.
 Only `shuffle` memoizes word-pair products, in the root system's
 `_shuffle_pair_cache`: the products of dual PBW monomials along Kostant
 partitions meet the same pairs again.  A q-commutator's pairs do not recur,
-since the solves that call it are memoized on their inputs (pbw.py).  The
-memo lives for one weight of a canonical table: the products of that
-weight's partitions share pairs, and `CanonicalTable.compute_weight` clears
-it when the weight is done, so it never holds more than one weight's pairs.
+since the solves that call it are memoized on their inputs (pbw.py).
+`drop_pair_memo` empties the memo; its docstring says how long it lives.
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
@@ -90,6 +88,19 @@ def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int,
     if hit is None:
         hit = rs._shuffle_pair_cache[(i, j)] = _pair_shuffle(i, j, rs)
     return hit
+
+
+def drop_pair_memo(rs: RootSystem) -> None:
+    """Empty the root system's word-pair memo.
+
+    A canonical table calls this when it has finished a weight, so the memo
+    lives for one weight's products.  Their pairs recur among that weight's
+    partitions; kept longer, the memo grows with every weight (B3 at
+    (2,4,4) leaves about 6 MB).  The memo belongs to the root system, so
+    every table on it loses the pairs and recomputes them when it meets
+    them again; no result changes.
+    """
+    rs._shuffle_pair_cache.clear()
 
 
 def _finish(acc: dict[Word, dict[int, int]]) -> ShuffleElement:
