@@ -530,6 +530,23 @@ def test_stdout_is_byte_identical(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+# stderr digests of the commands that render characters and their coefficients
+STDERR_DIGESTS = [
+    ("pbw-char --type F --rank 4", "167daa3490c70e9d"),
+    ("canonical --type G --rank 2", "7d8288da5a774986"),
+    ("canonical --type B --rank 3 --alpha 1,2,2", "23704bbd64303bb9"),
+    ("kp --type G --rank 2 --alpha 3,2", "9a447fbb636dadd0"),
+]
+
+
+@pytest.mark.parametrize("command,digest", STDERR_DIGESTS,
+                         ids=[c for c, _ in STDERR_DIGESTS])
+def test_stderr_is_byte_identical(capsys, command, digest):
+    code, _, err = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(err.encode()).hexdigest()[:16] == digest
+
+
 # --eps on the Dynkin edges: each edge gets a sign, written as +ij or -ji,
 # or with a colon (+i:j), which labels of 10 and above need
 EPS_TYPES = [("A", 3), ("B", 3), ("D", 4), ("G", 2), ("E", 6), ("A", 11), ("D", 10)]
