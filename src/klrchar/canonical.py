@@ -27,8 +27,7 @@ import tempfile
 from pathlib import Path
 
 from .convex import ConvexOrder, Word
-from .kostant import (KP, check_kp, kostant_partitions, kp_less, kp_scalars,
-                      kp_sort_key, sum_weight)
+from .kostant import KP, check_kp, kostant_partitions, kp_less, kp_scalars, sum_weight
 from .laurent import ExactDivisionError, LaurentPoly
 from .pbw import PBWCharacters
 from .shuffle import ShuffleElement, _finish, drop_pair_memo, render_word
@@ -91,11 +90,7 @@ class CanonicalTable:
 
         Returns the partitions in the deterministic display order.
         """
-        weight = tuple(weight)
-        # the rank sequences in lexicographic order extend the KP order:
-        # kp_less compares the first differing part by the same rank
-        kps = sorted(kostant_partitions(weight, self.order),
-                     key=lambda l: kp_sort_key(l, self.order))
+        kps = kostant_partitions(weight, self.order)
         todo = [lam for lam in kps if lam not in self._table]
         if todo:
             scalars = {mu: kp_scalars(mu, self.order) for mu in kps}

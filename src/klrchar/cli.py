@@ -8,18 +8,20 @@ nonzero with a machine-readable error document.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 import traceback
+from functools import cache, partial
 
 from .canonical import CanonicalTable
 from .cartan import CartanType, RootSystem
 from .convex import (ConvexOrder, good_lyndon_words, lyndon_order,
                      order_from_reduced_word)
 from .klr import KLR
-from .kostant import kostant_partitions, kp_scalars, kp_sort_key
+from .kostant import kostant_partitions, kp_scalars
 from .laurent import LaurentPoly, factor_quantum, series
 from .modules import MR_BOUND, ProperStandard, check_characteristic, rank_over
 from .pbw import PBWCharacters, dim_formula
@@ -78,21 +80,18 @@ def _build_order(args, rs: RootSystem) -> ConvexOrder:
 
 
 def _emit(doc: dict, args, table: str):
-    blob = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(blob + "\n")
-    else:
+    # a document holds only lists, dicts, strings, ints and bools, so it is
+    # encoded straight into the stream: nothing can fail after the first byte
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
         # flushed here, so that a closed pipe raises inside main
-        print(blob, flush=True)
+        print(file=fh, flush=True)
     if table:
         print(table, file=sys.stderr)
 
 
 def _fail(message: str, **extra) -> int:
-    doc = {"error": message}
-    doc.update(extra)
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps({"error": message, **extra}, sort_keys=True))
     return 1
 
 
@@ -101,11 +100,10 @@ def _root_str(b) -> str:
                     for i, c in enumerate(b) if c) or "0"
 
 
-def _d_labels(rs: RootSystem) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for node, d in enumerate(rs.d, start=1):
-        out.setdefault(d, node)
-    return out
+def _factorer(rs: RootSystem):
+    """factor_quantum with node labels, factoring each distinct coefficient once."""
+    d_labels = {d: rs.d.index(d) + 1 for d in rs.d}  # the first node of each d
+    return cache(partial(factor_quantum, d_labels=d_labels))
 
 
 def _series_json(num: LaurentPoly, den: LaurentPoly, trunc: int) -> dict:
@@ -113,10 +111,10 @@ def _series_json(num: LaurentPoly, den: LaurentPoly, trunc: int) -> dict:
     return {"trunc": trunc, "coeff": {str(e): coeff[e] for e in sorted(coeff)}}
 
 
-def _coeff_word(c: LaurentPoly, w, rs: RootSystem) -> str:
-    pretty = factor_quantum(c, _d_labels(rs))
-    word = render_word(w)
-    return word if pretty == "1" else f"{pretty} {word}"
+def _char_line(head: str, ch, factor) -> str:
+    """A character's stderr line: each word after its coefficient, unless that is 1."""
+    terms = ((factor(c), render_word(w)) for w, c in sorted(ch.items()))
+    return f"{head} = " + " + ".join(w if f == "1" else f"{f} {w}" for f, w in terms)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -159,10 +157,10 @@ def cmd_kp(args, rs: RootSystem) -> int:
     if not args.alpha:
         return _fail("kp needs --alpha")
     weight = _parse_weight(args.alpha, rs.rank)
-    kps = sorted(kostant_partitions(weight, order), key=lambda l: kp_sort_key(l, order))
+    factor = _factorer(rs)
     items = []
     lines = []
-    for lam in kps:
+    for lam in kostant_partitions(weight, order):
         fact, s, kappa, word = kp_scalars(lam, order)
         items.append({
             "parts": [list(p) for p in lam],
@@ -173,7 +171,7 @@ def cmd_kp(args, rs: RootSystem) -> int:
         })
         lines.append(f"({', '.join(_root_str(p) for p in lam)}): "
                      f"word {render_word(word)}, "
-                     f"s={s}, kappa={factor_quantum(kappa, _d_labels(rs))}")
+                     f"s={s}, kappa={factor(kappa)}")
     doc = {"type": str(rs.cartan_type), "alpha": list(weight),
            "order": order.label, "count": len(items), "partitions": items}
     _emit(doc, args, "\n".join(lines))
@@ -189,13 +187,13 @@ def cmd_pbw_char(args, rs: RootSystem) -> int:
         if weight not in rs.positive_set:
             return _fail(f"{weight} is not a positive root")
         roots = (weight,)
+    factor = _factorer(rs)
     items = []
     lines = []
     for b in roots:
         ch = pbw.dual_root(b)
         items.append({"root": list(b), "character": sh_to_json(ch)})
-        pretty = " + ".join(_coeff_word(c, w, rs) for w, c in sorted(ch.items()))
-        lines.append(f"r*({_root_str(b)}) = {pretty}")
+        lines.append(_char_line(f"r*({_root_str(b)})", ch, factor))
     doc = {"type": str(rs.cartan_type), "order": order.label, "characters": items}
     _emit(doc, args, "\n".join(lines))
     return 0
@@ -204,22 +202,19 @@ def cmd_pbw_char(args, rs: RootSystem) -> int:
 def cmd_canonical(args, rs: RootSystem) -> int:
     order = _build_order(args, rs)
     table = CanonicalTable(order, cache_dir=args.cache_dir)
-    weights = [tuple(b) for b in order.roots]
-    if args.alpha:
-        weights = [_parse_weight(args.alpha, rs.rank)]
+    weights = [_parse_weight(args.alpha, rs.rank)] if args.alpha else order.roots
+    factor = _factorer(rs)
     items = []
     lines = []
     for weight in weights:
-        kps = table.compute_weight(weight)
-        for lam in kps:
+        for lam in table.compute_weight(weight):
             ch = table.char(lam)
             items.append({
                 "weight": list(weight),
                 "kp": [list(p) for p in lam],
                 "character": sh_to_json(ch),
             })
-            pretty = " + ".join(_coeff_word(c, w, rs) for w, c in sorted(ch.items()))
-            lines.append(f"b*({', '.join(_root_str(p) for p in lam)}) = {pretty}")
+            lines.append(_char_line(f"b*({', '.join(_root_str(p) for p in lam)})", ch, factor))
     doc = {"type": str(rs.cartan_type), "order": order.label, "entries": items}
     _emit(doc, args, "\n".join(lines))
     return 0
@@ -228,6 +223,10 @@ def cmd_canonical(args, rs: RootSystem) -> int:
 def cmd_dim_check(args, rs: RootSystem) -> int:
     if args.alpha and args.max_height is not None:
         return _fail("dim-check takes --alpha or --max-height, not both")
+    if args.max_height is not None and args.max_height < 1:
+        return _fail(f"--max-height must be at least 1, not {args.max_height}")
+    if args.truncate < 0:
+        return _fail(f"--truncate must be at least 0, not {args.truncate}")
     order = _build_order(args, rs)
     pbw = PBWCharacters(order)
     trunc = args.truncate

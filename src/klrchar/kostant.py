@@ -16,28 +16,33 @@ KP = tuple[Root, ...]
 
 
 def kostant_partitions(weight, order: ConvexOrder) -> list[KP]:
-    """All Kostant partitions of the given weight, parts weakly decreasing."""
-    rs = order.rs
+    """All Kostant partitions of the given weight, parts weakly decreasing.
+
+    They come in display order (kp_sort_key): the rank sequences of the
+    parts in lexicographic order.  That order extends the KP order, since
+    kp_less compares the first differing part by the same rank.
+    """
     weight = tuple(weight)
-    n = rs.rank
-    roots_desc = [order.roots[k] for k in range(len(order.roots) - 1, -1, -1)]
+    n = order.rs.rank
+    roots = order.roots
     out: list[KP] = []
 
-    def rec(rem, start, acc):
+    def rec(rem, bound, acc):
         if all(c == 0 for c in rem):
             out.append(tuple(acc))
             return
-        for t in range(start, len(roots_desc)):
-            b = roots_desc[t]
+        # the lowest-rank part first; no part outranks the one before it
+        for t in range(bound):
+            b = roots[t]
             nxt = tuple(rem[k] - b[k] for k in range(n))
             if all(c >= 0 for c in nxt):
                 acc.append(b)
-                rec(nxt, t, acc)
+                rec(nxt, t + 1, acc)
                 acc.pop()
 
     if any(c < 0 for c in weight):
         return []
-    rec(weight, 0, [])
+    rec(weight, len(roots), [])
     return out
 
 

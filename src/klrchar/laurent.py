@@ -151,10 +151,6 @@ class LaurentPoly:
     def to_json(self) -> dict[str, int]:
         return {str(e): self.c[e] for e in sorted(self.c)}
 
-    @classmethod
-    def from_json(cls, d: dict[str, int]) -> "LaurentPoly":
-        return cls({int(e): a for e, a in d.items() if a})
-
     def __str__(self) -> str:
         if not self.c:
             return "0"

@@ -197,6 +197,21 @@ def test_dim_check_max_height_defaults_to_four(capsys):
     assert heights == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("height", ["0", "-1"])
+def test_dim_check_refuses_max_height_below_one(capsys, height):
+    code, out, _ = run_cli(capsys, "dim-check", "--type", "A", "--rank", "2",
+                           "--max-height", height)
+    assert code == 1
+    assert json.loads(out) == {"error": f"--max-height must be at least 1, not {height}"}
+
+
+def test_dim_check_refuses_negative_truncate(capsys):
+    code, out, _ = run_cli(capsys, "dim-check", "--type", "A", "--rank", "2",
+                           "--alpha", "1,1", "--truncate", "-3")
+    assert code == 1
+    assert json.loads(out) == {"error": "--truncate must be at least 0, not -3"}
+
+
 def test_kp_needs_alpha(capsys):
     code, out, _ = run_cli(capsys, "kp", "--type", "A", "--rank", "2")
     assert code == 1

@@ -1,12 +1,14 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
-from klrchar.convex import lyndon_order
-from klrchar.kostant import (kostant_partitions, kp_less, kp_scalars,
+from klrchar.convex import lyndon_order, order_from_reduced_word, random_reduced_word
+from klrchar.kostant import (kostant_partitions, kp_less, kp_scalars, kp_sort_key,
                              root_kappa)
 from klrchar.laurent import LaurentPoly
+from klrchar.verify import weights_up_to
 
 
 def setup_type(fam, rank):
@@ -65,6 +67,22 @@ def test_kp_matches_oracle():
         rs, o = setup_type(fam, rank)
         for weight in [(1, 1, 1), (2, 1, 0), (0, 2, 2)] if rank == 3 else [(3, 1), (3, 2), (2, 2)]:
             assert set(kostant_partitions(weight, o)) == brute_force_kps(weight, o)
+
+
+def test_kp_come_in_display_order():
+    # callers print and compute in the enumeration order, with no sort after it
+    cases = 0
+    for fam, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
+        rs, lyndon = setup_type(fam, rank)
+        rng = random.Random(rank * 1000 + ord(fam))
+        orders = [lyndon] + [order_from_reduced_word(random_reduced_word(rs, rng), rs)
+                             for _ in range(3)]
+        for o in orders:
+            for weight in weights_up_to(rs, 5):
+                kps = kostant_partitions(weight, o)
+                assert kps == sorted(kps, key=lambda l: kp_sort_key(l, o)), (fam, weight)
+                cases += 1
+    assert cases == 2020
 
 
 def test_kp_less_examples():

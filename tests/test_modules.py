@@ -276,6 +276,9 @@ def test_module_defining_relations():
         ("A", 2, ((0, 1), (1, 0))),
         ("A", 2, ((1, 1), (1, 1))),
         ("A", 3, ((0, 1, 1), (1, 1, 0))),
+        # D4's cuspidal word 1243 commutes to 1234: the block action swaps
+        ("D", 4, ((1, 1, 1, 1),)),
+        ("D", 4, ((0, 1, 1, 1), (1, 0, 0, 0))),
     ]
     for fam, rank, lam in cases:
         rs, o, H, pbw = setup_module_env(fam, rank)
