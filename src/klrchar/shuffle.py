@@ -1,19 +1,32 @@
 """The quantum shuffle algebra on words, with bar involution and restriction.
 
-A shuffle element is a sparse dict word -> LaurentPoly.  The product of two
-words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts crossing
-pairs weighted by minus the form on the letters.  Single word-pair products
-are enumerated depth first from an explicit stack.
+A shuffle element is a sparse mapping word -> LaurentPoly.  The product of
+two words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts
+crossing pairs weighted by minus the form on the letters.  Single word-pair
+products are enumerated depth first from an explicit stack.
 
-`shuffle` and `q_commutator` share one pass over the word pairs, which adds
-into raw exponent dicts that become Laurent polynomials once, at the end.
+`shuffle` and `q_commutator` share one kernel, `_shuffle_pass`, which runs
+on packed coefficients (`Packed`): a word's Laurent polynomial sum a_e q^e
+is the one integer sum a_e 2^{K (e + o)}, a Kronecker substitution q = 2^K.
+Adding coefficients is then integer addition, and the product of two is
+one integer product, so each word of each pair product costs one
+multiply-add.  The packing is exact because its width and offset come from
+proven bounds: every exponent of a product is at least the sum of its
+operands' lowest exponents and of minus the positive part of the form over
+the letter pairs, so the offset o makes every slot non-negative; and every
+coefficient of a o b is at most |a|_1 |b|_1 C(m + n, m) in absolute value,
+so the slot width K, from `slot_width`, holds it as a balanced digit.  A
+product whose bound outgrows its operands' width repacks them wider; no
+width is ever chosen below its bound.  Both functions return a read-only
+`Packed` mapping, which decodes a word's coefficient when it is read.
+
 `q_commutator(a, b, s) = a o b - q^s (b o a)` enumerates each pair once: by
-the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), it reads the exponents of
-v o u off those of u o v.  It is the one rank-two building block: the solve
-for dual root vectors divides it, and the length-two check compares it with
-the root character it produces.
+the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), the twisted half is the
+packed bar of each pair product.  It is the one rank-two building block:
+the solve for dual root vectors divides it, and the length-two check
+compares it with the root character it produces.
 
-Only `shuffle` memoizes word-pair products, in the root system's
+Only `shuffle` memoizes word-pair products, packed, in the root system's
 `_shuffle_pair_cache`: the products of dual PBW monomials along Kostant
 partitions meet the same pairs again.  A q-commutator's pairs do not recur,
 since the solves that call it are memoized on their inputs (pbw.py).
@@ -21,10 +34,17 @@ since the solves that call it are memoized on their inputs (pbw.py).
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
-H(alpha) and of a resolution's Euler characteristic.
+H(alpha) and of a resolution's Euler characteristic.  It adds into raw
+exponent dicts.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from collections.abc import Mapping
+from functools import lru_cache
+from math import comb
 
 from .cartan import RootSystem
 from .convex import Word
@@ -82,11 +102,19 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
     return out
 
 
-def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
-    """_pair_shuffle through the root system's word-pair memo."""
-    hit = rs._shuffle_pair_cache.get((i, j))
+def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem, width: int,
+                       offset: int) -> dict[Word, int]:
+    """_pair_shuffle packed at (width, offset), through the root system's memo.
+
+    The memo is keyed by the word pair and holds the pair's product at each
+    width it was asked for; offset depends on the pair alone.
+    """
+    by_width = rs._shuffle_pair_cache.get((i, j), {})
+    hit = by_width.get(width)
     if hit is None:
-        hit = rs._shuffle_pair_cache[(i, j)] = _pair_shuffle(i, j, rs)
+        hit = by_width[width] = {w: pack(d, width, offset)
+                                 for w, d in _pair_shuffle(i, j, rs).items()}
+        rs._shuffle_pair_cache[(i, j)] = by_width
     return hit
 
 
@@ -95,12 +123,131 @@ def drop_pair_memo(rs: RootSystem) -> None:
 
     A canonical table calls this when it has finished a weight, so the memo
     lives for one weight's products.  Their pairs recur among that weight's
-    partitions; kept longer, the memo grows with every weight (B3 at
-    (2,4,4) leaves about 6 MB).  The memo belongs to the root system, so
-    every table on it loses the pairs and recomputes them when it meets
-    them again; no result changes.
+    partitions; kept longer, the memo grows with every weight.  The memo
+    belongs to the root system, so every table on it loses the pairs and
+    recomputes them when it meets them again; no result changes.
     """
     rs._shuffle_pair_cache.clear()
+
+
+# -- packed coefficients -------------------------------------------------------
+
+def slot_width(bound: int) -> int:
+    """The slot width K for coefficients of absolute value at most bound.
+
+    A slot holds a balanced digit in [-2^(K-1), 2^(K-1) - 1], so K is at
+    least the bound's bit length plus a sign bit.  It is rounded up to 8,
+    16, 32 or 64 bits, which unpack reads as machine integers, and past 64
+    bits to a multiple of 64.
+    """
+    bits = bound.bit_length() + 1
+    return 8 << max(0, (bits - 1).bit_length() - 3) if bits <= 64 else -(-bits // 64) * 64
+
+
+def pack(c: dict[int, int], width: int, offset: int) -> int:
+    """sum of a 2^(width (e + offset)) over the terms a q^e; e + offset >= 0."""
+    return sum(a << width * (e + offset) for e, a in c.items())
+
+
+_ITEM_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+@lru_cache(maxsize=256)
+def _bias(width: int, slots: int) -> int:
+    """2^(width - 1) in each of the given number of slots."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
+
+
+def unpack(x: int, width: int, offset: int) -> dict[int, int]:
+    """The balanced digits of x: the inverse of pack when every coefficient fits.
+
+    Adding 2^(width - 1) to each digit in [-2^(width - 1), 2^(width - 1))
+    makes it a plain unsigned one, so the slots are read off the bytes of one
+    integer.  The slot count leaves room for the top digit's carry.
+    """
+    if not x:
+        return {}
+    slots = (x.bit_length() + 1) // width + 1
+    step = width // 8
+    data = (x + _bias(width, slots)).to_bytes(slots * step, "little")
+    code = _ITEM_CODES.get(step)
+    if code is None:
+        digits = [int.from_bytes(data[k:k + step], "little")
+                  for k in range(0, len(data), step)]
+    else:
+        digits = array(code, data)
+        if sys.byteorder == "big":
+            digits.byteswap()
+    half = 1 << (width - 1)
+    return {e - offset: d - half for e, d in enumerate(digits) if d != half}
+
+
+def l1_norm(a: ShuffleElement) -> int:
+    """The sum of the absolute values of all coefficients of all words."""
+    if isinstance(a, Packed):
+        return a.bound
+    return sum(abs(x) for p in a.values() for x in p.c.values())
+
+
+class Packed(Mapping):
+    """A shuffle element whose coefficients are Kronecker-packed ints.
+
+    The coefficient of a word is sum of a_e 2^(width (e + offset)), one
+    integer per word, so adding and multiplying coefficients is integer
+    arithmetic.  bound is at least the sum of the absolute values of all
+    coefficients, so no coefficient exceeds it and width = slot_width(bound)
+    or wider reads every one back exactly.  A word's LaurentPoly is decoded
+    when the word is looked up; the ints hold no zero word.
+    """
+
+    __slots__ = ("ints", "width", "offset", "bound")
+
+    def __init__(self, ints: dict[Word, int], width: int, offset: int, bound: int):
+        self.ints = ints
+        self.width = width
+        self.offset = offset
+        self.bound = bound
+
+    @classmethod
+    def of(cls, a: ShuffleElement, width: int | None = None, shift: int = 0,
+           norm: int | None = None) -> "Packed":
+        """q^shift a, packed at width, or at the narrowest width its norm allows.
+
+        norm, when given, is l1_norm(a).
+        """
+        if isinstance(a, Packed) and not shift:
+            return a if width is None else a.repacked(width, a.offset)
+        bound = l1_norm(a) if norm is None else norm
+        width = width or slot_width(bound)
+        offset = -min((min(p.c) for p in a.values() if p), default=0) - shift
+        return cls({w: pack(p.c, width, offset + shift) for w, p in a.items() if p},
+                   width, offset, bound)
+
+    def repacked(self, width: int, offset: int) -> "Packed":
+        """The same element at a width and an offset no smaller than its own."""
+        if width == self.width:
+            if offset == self.offset:
+                return self
+            up = width * (offset - self.offset)
+            return Packed({w: x << up for w, x in self.ints.items()},
+                          width, offset, self.bound)
+        return Packed({w: pack(unpack(x, self.width, self.offset), width, offset)
+                       for w, x in self.ints.items()}, width, offset, self.bound)
+
+    def __getitem__(self, w: Word) -> LaurentPoly:
+        return LaurentPoly(unpack(self.ints[w], self.width, self.offset))
+
+    def __contains__(self, w) -> bool:
+        return w in self.ints
+
+    def __iter__(self):
+        return iter(self.ints)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def _finish(acc: dict[Word, dict[int, int]]) -> ShuffleElement:
@@ -114,41 +261,81 @@ def _finish(acc: dict[Word, dict[int, int]]) -> ShuffleElement:
 
 
 def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
-                  s: int | None) -> ShuffleElement:
+                  s: int | None) -> Packed:
     """a o b, or with s given a o b - q^s (b o a), in one pass over the word pairs.
+
+    Exactness.  An interleaving of u and v has exponent
+    e = -sum of (x, y) over the crossed letter pairs x of u and y of v, so
+    -pos <= e <= neg, with pos and neg the sums of the positive and of the
+    negated negative values of the form over all such pairs; both depend on
+    the weights of u and v alone.  The result's offset makes the lowest of
+    these slots non-negative.  Every coefficient of a o b is at most
+    |a|_1 |b|_1 C(m + n, m) in absolute value, C(m + n, m) counting the
+    interleavings of words of lengths m and n, and twice that with the
+    twisted half; the width holds that bound, or the operands' width if it
+    is wider, and an operand packed narrower is repacked.
 
     By the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), an interleaving with
     exponent e in u o v has exponent -(|u|,|v|) - e in v o u, so each pair
-    (u, v) is enumerated once for both products.
+    (u, v) is enumerated once for both products: the twisted half is the
+    packed bar of the pair product.
     """
     B = rs.bilinear_matrix
     twist = s is not None
-    pair = _pair_shuffle if twist else _memo_pair_shuffle
-    # (|u|,|v|) is the sum of (B|v|)_x over the letters x of u
-    b_form = {v: [sum(B[y - 1][x] for y in v) for x in range(rs.rank)] for v in b}
-    acc: dict[Word, dict[int, int]] = {}
-    for u, cu in a.items():
-        for v, cv in b.items():
-            c = list((cu * cv).c.items())
-            if not c:
-                continue
+    # a word's letters, sorted, stand for its weight
+    ka = {u: tuple(sorted(u)) for u in a}
+    kb = {v: tuple(sorted(v)) for v in b}
+    # per pair of weights: (pos, neg, interleavings)
+    forms = {}
+    for x in set(ka.values()):
+        for y in set(kb.values()):
+            terms = [B[i - 1][j - 1] for i in x for j in y]
+            forms[x, y] = (sum(t for t in terms if t > 0), -sum(t for t in terms if t < 0),
+                           comb(len(x) + len(y), len(x)))
+    if not forms:
+        return Packed({}, 8, 0, 0)
+    na, nb = l1_norm(a), l1_norm(b)
+    bound = na * nb * max(f[2] for f in forms.values()) * (2 if twist else 1)
+    width = max([slot_width(bound)] + [p.width for p in (a, b) if isinstance(p, Packed)])
+    pa, pb = Packed.of(a, width, norm=na), Packed.of(b, width, norm=nb)
+    # the pair products go in at `lift` slots above the operands' offsets:
+    # e >= -pos, and the twisted t - e >= s - pos
+    lift = {k: pos + (max(0, -s) if twist else 0) for k, (pos, _, _) in forms.items()}
+    top = max(lift.values())
+    if twist:
+        # X^i for every slot either half reaches: e + top <= neg + top, and
+        # t - e + top <= s + neg + top
+        X = [1 << width * i
+             for i in range(top + max(0, s) + max(f[1] for f in forms.values()) + 1)]
+    acc: dict[Word, int] = {}
+    get = acc.get
+    for u, A in pa.ints.items():
+        for v, Bv in pb.ints.items():
+            AB = A * Bv
+            key = ka[u], kb[v]
             if twist:
-                t = s - sum(b_form[v][x - 1] for x in u)
-            for word, exps in pair(u, v, rs).items():
-                d = acc.get(word)
-                if d is None:
-                    d = acc[word] = {}
-                for e, n in exps.items():
-                    for k, x in c:
-                        f, x = k + e, n * x
-                        d[f] = d.get(f, 0) + x
-                        if twist:
-                            f = k + t - e
-                            d[f] = d.get(f, 0) - x
-    return _finish(acc)
+                pos, neg, _ = forms[key]
+                # the twisted exponent is t - e, t = s - (|u|,|v|), at slot
+                # t - e + top
+                t = s - pos + neg + top
+                for word, exps in _pair_shuffle(u, v, rs).items():
+                    T = sum(n * (X[e + top] - X[t - e]) for e, n in exps.items())
+                    acc[word] = get(word, 0) + T * AB
+            else:
+                gap = top - lift[key]
+                if gap:
+                    AB <<= width * gap
+                for word, P in _memo_pair_shuffle(u, v, rs, width, lift[key]).items():
+                    acc[word] = get(word, 0) + P * AB
+    ints = {w: x for w, x in acc.items() if x}
+    # the slots below every word's lowest term are empty: shift them out
+    low = min(((x & -x).bit_length() - 1 for x in ints.values()), default=0) // width
+    if low:
+        ints = {w: x >> width * low for w, x in ints.items()}
+    return Packed(ints, width, pa.offset + pb.offset + top - low, bound)
 
 
-def shuffle(a: ShuffleElement, b: ShuffleElement, rs: RootSystem) -> ShuffleElement:
+def shuffle(a: ShuffleElement, b: ShuffleElement, rs: RootSystem) -> Packed:
     return _shuffle_pass(a, b, rs, None)
 
 
@@ -184,7 +371,7 @@ def sh_sub(a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
 
 
 def q_commutator(a: ShuffleElement, b: ShuffleElement, s: int,
-                 rs: RootSystem) -> ShuffleElement:
+                 rs: RootSystem) -> Packed:
     """a o b - q^s (b o a), each word pair of a and b enumerated once."""
     return _shuffle_pass(a, b, rs, s)
 
@@ -302,6 +489,9 @@ def sh_to_json(a: ShuffleElement) -> list[dict]:
 
 def sh_dim(a: ShuffleElement) -> LaurentPoly:
     """Total graded dimension: sum of all word coefficients."""
+    if isinstance(a, Packed):
+        # the sum is within the l1 bound, so it fits the width
+        return LaurentPoly(unpack(sum(a.ints.values()), a.width, a.offset))
     out = LaurentPoly.zero()
     for c in a.values():
         out = out + c

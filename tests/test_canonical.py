@@ -16,7 +16,7 @@ from klrchar.convex import lyndon_order, order_from_reduced_word, random_reduced
 from klrchar.kostant import kostant_partitions, kp_less, kp_scalars, kp_sort_key
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
-from klrchar.shuffle import sh_add, sh_eq, sh_scale, sh_sub
+from klrchar.shuffle import sh_add, sh_eq, sh_scale, sh_sub, words_of_weight
 
 
 def test_correction_examples():
@@ -330,6 +330,27 @@ def test_wrong_kappa_is_reported():
     table._table[mu][word] = kappa * 2
     with pytest.raises(CorrectionError, match=r"of mu = .* is not bar-invariant"):
         table._leclerc(lam, below)
+
+
+def test_assembly_widens_past_the_product():
+    # a term 2^100 q^-40 in b*_mu at a word no i_nu is leaves the
+    # corrections alone, but the assembled b*_lam needs a wider slot and a
+    # larger offset than the packed E*_lam has
+    rs = RootSystem(CartanType("G", 2))
+    o = lyndon_order(rs)
+    table = CanonicalTable(o)
+    kps = table.compute_weight((3, 2))
+    lam = ((0, 1), (2, 1), (1, 0))
+    below = below_of(lam, kps, o)
+    chi = table.pbw.proper_standard(lam)
+    mu = next(entry[0] for entry in reversed(below)
+              if not chi.get(entry[2], LaurentPoly.zero()).is_bar_invariant())
+    read = {word for _, _, word in below}
+    word = next(w for w in words_of_weight((3, 2)) if w not in read)
+    table._table[mu] = sh_add(table._table[mu], {word: LaurentPoly.term(2**100, -40)})
+    got = table._leclerc(lam, below)
+    assert chi.width < 64 and min(got[word].c) < -chi.offset
+    assert sh_eq(got, oracle_leclerc(lam, kps, o, table.pbw, table._table))
 
 
 def oracle_leclerc(lam, kps, order, pbw, table):

@@ -142,3 +142,43 @@ def test_quantum_factors():
     assert quantum_factors(LaurentPoly({1: 1})) is None
     assert factor_quantum(LaurentPoly.one()) == "1"
     assert factor_quantum(g2, {1: 1, 3: 2}) == "[2]_1[3]_1[2]_2"
+
+
+def _library_results():
+    """A B3 canonical table, the F4 solves up to the highest root and the A5
+    Gram matrix of the paper's slice, each on fresh root systems."""
+    from klrchar import verify
+    from klrchar.canonical import CanonicalTable
+    from klrchar.cartan import CartanType, RootSystem
+    from klrchar.convex import lyndon_order
+    from klrchar.pbw import PBWCharacters
+
+    def plain(ch):
+        return {w: dict(c.c) for w, c in ch.items()}
+
+    table = CanonicalTable(lyndon_order(RootSystem(CartanType("B", 3))))
+    kps = table.compute_weight((1, 2, 2))
+    f4 = RootSystem(CartanType("F", 4))
+    pbw = PBWCharacters(lyndon_order(f4))
+    top = max(f4.positive_roots, key=sum)
+    gram = verify.willcex_module().gram_matrix(verify.WILLCEX_WORD, 0)
+    return ({lam: plain(table.char(lam)) for lam in kps}, plain(pbw.dual_root(top)), gram)
+
+
+def test_no_library_path_writes_a_coefficient(monkeypatch):
+    # every .c becomes a read-only view of a private copy: a write through
+    # .c raises, and a write to the dict a caller passed in is not seen
+    from types import MappingProxyType
+
+    from klrchar import verify
+
+    want = _library_results()
+
+    def frozen_init(self, c=None):
+        self.c = MappingProxyType(dict(c) if c is not None else {})
+
+    monkeypatch.setattr(LaurentPoly, "__init__", frozen_init)
+    monkeypatch.setattr(verify, "_RS_CACHE", {})
+    with pytest.raises(TypeError):
+        LaurentPoly.one().c[0] = 2
+    assert _library_results() == want

@@ -391,9 +391,27 @@ def commutation_class(word, rs):
 
 
 def entrywise_gram(M, word, degree):
+    """The Gram matrix with each entry straightened whole by the engine.
+
+    <left, (u2, w2)> applies the transpose of tau_{u2} to tau_{u1} 1_j in
+    one apply_tau_word on the induced word j, then reduces every term of
+    the normal form to the standard basis once, where gram_matrix acts one
+    generator at a time through the module's image table.
+    """
     rows = M.slice_basis(word, degree)
     cols = rows if degree == 0 else M.slice_basis(word, -degree)
-    return [[M.pair_basis(r, c) for c in cols] for r in rows]
+
+    def pair(left, right):
+        (u1, words), (u2, w2) = left, right
+        jword = M.concat(words)
+        # act_transposed_word applies canon_word(u2) left to right
+        E = M.engine.apply_tau_word(canon_word(u2)[::-1], M.engine.monomial(jword, u1))
+        vec: dict = {}
+        for (_, w, exps), c in E.items():
+            M._reduce_term(c, exps, w, words, vec)
+        return M.pair_cyclicward(vec, w2)
+
+    return [[pair(r, c) for c in cols] for r in rows]
 
 
 def fresh_module(M):
@@ -404,7 +422,8 @@ def fresh_module(M):
 def test_gram_matrix_matches_entrywise_pairing():
     # a module keeps its generator images across calls, so every matrix
     # after the first reads images that earlier ones stored; the entrywise
-    # oracle runs on a fresh module, whose table starts empty
+    # oracle straightens each entry whole on a fresh module's engine and
+    # stores no image
     from klrchar import verify
 
     M = verify.willcex_module()
@@ -417,7 +436,9 @@ def test_gram_matrix_matches_entrywise_pairing():
     cases += [(equal_parts, (1, 1, 2, 2), 2), (equal_parts, (1, 1, 2, 2), -2)]
     for module, w, d in cases:
         G = module.gram_matrix(w, d)
-        assert G and G == entrywise_gram(fresh_module(module), w, d), (w, d)
+        fresh = fresh_module(module)
+        assert G and G == entrywise_gram(fresh, w, d), (w, d)
+        assert not fresh._images
         # a repeated call reads every image from the table and stores none
         size = len(module._images)
         assert module.gram_matrix(w, d) == G

@@ -8,10 +8,12 @@ from klrchar.convex import (lyndon_order, minimal_pairs, mp_choice,
                             order_from_reduced_word, random_reduced_word)
 from klrchar.kostant import kostant_partitions, kp_less, kp_scalars
 from klrchar.laurent import ExactDivisionError, LaurentPoly, series
-from klrchar.pbw import (PBWCharacters, char_projective, dim_formula, dim_H,
-                         dim_standard, standard_divisor)
-from klrchar.shuffle import (deg_stat, is_bar_invariant, sh_dim, sh_eq, sh_scale,
-                             sh_sub, sh_word, shuffle)
+from klrchar import pbw as pbw_mod
+from klrchar.cartan import p_max
+from klrchar.pbw import (PBWCharacters, _packed_quotient, char_projective, dim_formula,
+                         dim_H, dim_standard, standard_divisor)
+from klrchar.shuffle import (deg_stat, is_bar_invariant, pack, q_commutator, sh_dim,
+                             sh_eq, sh_scale, sh_sub, sh_word, shuffle)
 from klrchar.verify import weights_up_to
 
 
@@ -285,6 +287,47 @@ def test_inexact_division_detected():
         bad_div = LaurentPoly({-1: 1}) - LaurentPoly({3: 1})
         for w, c in num.items():
             c.exact_div(bad_div)
+
+
+def test_packed_quotient_needs_small_digits():
+    # 100 + 100 q + 55 q^2 at 8 bits sums to 255, so its integer is a
+    # multiple of 1 - 2^8, but 1 - q does not divide it; the integer
+    # quotient has the digit 100 >= 2^6 and is refused
+    x = pack({0: 100, 1: 100, 2: 55}, 8, 0)
+    assert x % (1 - 256) == 0
+    assert _packed_quotient(x, 8, 0, 1) is None
+    # an exact quotient with digits below 2^(K-2) comes back, at any offset
+    for width in (8, 16, 64):
+        g = {-2: 5, 0: -63, 3: 1}
+        f = (LaurentPoly(g) * LaurentPoly({0: 1, 2: -1})).c
+        assert _packed_quotient(pack(f, width, 4), width, 4, 2) == g
+    assert _packed_quotient(pack({0: 1, 1: 1}, 16, 0), 16, 0, 2) is None
+
+
+def test_solve_reports_an_inexact_division(monkeypatch):
+    # a wrong p_max makes the q-commutator indivisible: the packed quotient
+    # is refused and exact_div names the word
+    rs, o, pbw = setup_type("B", 3)
+    monkeypatch.setattr(pbw_mod, "p_max", lambda rs, b, g: 5)
+    with pytest.raises(ExactDivisionError, match=r"scale-factor division failed at "
+                                                 r"word \(.*\) for root \(1, 1, 0\) "
+                                                 r"\(order lyndon\)"):
+        pbw.dual_root((1, 1, 0))
+
+
+def test_solve_matches_exact_division():
+    # every quotient the packed division returns times the divisor gives back
+    # the q-commutator, over all roots of F4 and E6
+    for fam, rank in [("F", 4), ("E", 6)]:
+        rs, o, pbw = setup_type(fam, rank)
+        for alpha in rs.positive_roots:
+            if sum(alpha) == 1:
+                continue
+            beta, gamma = mp_choice(alpha, o)
+            p, bg = p_max(rs, beta, gamma), rs.form(beta, gamma)
+            div = LaurentPoly({-p: 1}) - LaurentPoly({p - 2 * bg: 1})
+            num = q_commutator(pbw.dual_root(gamma), pbw.dual_root(beta), -bg, rs)
+            assert sh_eq(sh_scale(pbw.dual_root(alpha), div), num), alpha
 
 
 # solves are memoized per root system on the identities of their two input

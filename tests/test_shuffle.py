@@ -3,6 +3,7 @@ import sys
 import types
 from itertools import permutations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +12,10 @@ from klrchar.cartan import p_max
 from klrchar.convex import lyndon_order, minimal_pairs
 from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
-from klrchar.shuffle import (bar, deg_stat, parse_word, q_commutator, render_word,
-                             restrict_character, sh_add, sh_eq, sh_scale, sh_sub,
-                             sh_word, shuffle, shuffle_letters, word_weight,
-                             words_of_weight)
+from klrchar.shuffle import (Packed, bar, deg_stat, pack, parse_word, q_commutator,
+                             render_word, restrict_character, sh_add, sh_dim, sh_eq,
+                             sh_scale, sh_sub, sh_word, shuffle, shuffle_letters,
+                             slot_width, unpack, word_weight, words_of_weight)
 from klrchar.tables import G2_CANONICAL_TABLE, parse_bracket_expr
 
 
@@ -239,6 +240,97 @@ def test_q_commutator_g2_root_identities():
             assert sh_eq(lhs, rhs), (alpha, beta, gamma)
             checked += 1
     assert checked >= 4
+
+
+# -- the packed kernel against the brute-force oracle -------------------------------
+
+def oracle_product(a, b, rs):
+    """sum of cu cv (u o v) from brute_shuffle, in LaurentPoly arithmetic."""
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            out = sh_add(out, sh_scale(brute_shuffle(u, v, rs), cu * cv))
+    return out
+
+
+def _wide_element(rng, rank, words, length=3):
+    """Signed coefficients above 2^64 at negative and positive exponents."""
+    out = {}
+    for _ in range(words):
+        w = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, length)))
+        out[w] = LaurentPoly({rng.randint(-6, -1): rng.choice((-1, 1)) * rng.randint(2**64, 2**90),
+                              rng.randint(0, 4): rng.choice((-5, -2, 1, 3))})
+    return out
+
+
+def test_kernel_matches_oracle_above_64_bits():
+    rng = random.Random(31)
+    for fam, rank in [("A", 2), ("B", 3), ("G", 2), ("F", 4)]:
+        rs = RootSystem(CartanType(fam, rank))
+        for _ in range(6):
+            a, b = _wide_element(rng, rank, 3), _wide_element(rng, rank, 2)
+            got = shuffle(a, b, rs)
+            assert got.width > 64
+            assert sh_eq(got, oracle_product(a, b, rs)), (fam, a, b)
+            # mixed weights, with the twisted half packed as the bar of each pair
+            s = rng.randint(-4, 4)
+            want = sh_sub(oracle_product(a, b, rs),
+                          sh_scale(oracle_product(b, a, rs), LaurentPoly.term(1, s)))
+            got = q_commutator(a, b, s, rs)
+            assert sh_eq(got, want), (fam, a, b, s)
+            assert all(got.values())
+
+
+def test_packed_operands_chain_like_plain_ones():
+    # a packed left or right factor, narrower than the product needs, is
+    # repacked wider; the chain agrees with the oracle either way
+    rng = random.Random(37)
+    rs = RootSystem(CartanType("B", 3))
+    for _ in range(5):
+        a, b, c = (_wide_element(rng, 3, 2, length=2) for _ in range(3))
+        a = {w: LaurentPoly.term(rng.choice((-1, 2)), rng.randint(-2, 2)) for w in a}
+        want = oracle_product(oracle_product(a, b, rs), c, rs)
+        ab = shuffle(a, b, rs)
+        assert isinstance(ab, Packed)
+        abc = shuffle(ab, c, rs)
+        assert abc.width > ab.width
+        assert sh_eq(abc, want)
+        assert sh_eq(shuffle(a, shuffle(b, c, rs), rs), want)
+        assert sh_dim(ab) == sh_dim(dict(ab.items()))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_pack_round_trips_at_the_slot_extremes(width):
+    top = 2 ** (width - 1) - 1
+    c = {-3: top, -1: -top, 0: 1, 2: -1, 4: top}
+    for sign in (1, -1):
+        d = {e: sign * a for e, a in c.items()}
+        x = pack(d, width, 3)
+        assert unpack(x, width, 3) == d
+        assert Packed({(1,): x}, width, 3, top)[(1,)] == LaurentPoly(d)
+    # the bound 2^(K-1) - 1 fits K bits, one more does not
+    assert slot_width(top) == width
+    assert slot_width(top + 1) > width
+
+
+def test_width_holds_a_coefficient_at_its_bound():
+    # with the empty word the bound |a|_1 |b|_1 C(1, 0) is the coefficient
+    # itself; 2^(K-1) at K bits would read back as -2^(K-1)
+    rs = RootSystem(CartanType("A", 2))
+    for k in (8, 16, 32, 64, 128):
+        n, m = 2 ** (k // 2), 2 ** (k // 2 - 1)
+        for sign in (1, -1):
+            a = {(1,): LaurentPoly.term(sign * n, -5)}
+            b = {(): LaurentPoly.term(m, 3)}
+            assert shuffle(a, b, rs) == {(1,): LaurentPoly.term(sign * n * m, -2)}
+            assert shuffle(b, a, rs) == {(1,): LaurentPoly.term(sign * n * m, -2)}
+    # two of the six interleavings of 11 with 11 cross twice: the coefficient
+    # of q^-4 is 2 |a|_1 |b|_1, which needs the count of interleavings
+    a1 = RootSystem(CartanType("A", 1))
+    n = 2 ** 31
+    got = shuffle({(1, 1): LaurentPoly.term(n)}, {(1, 1): LaurentPoly.term(n)}, a1)
+    assert got == {(1, 1, 1, 1): LaurentPoly({0: n * n, -2: n * n, -4: 2 * n * n,
+                                              -6: n * n, -8: n * n})}
 
 
 def test_words_of_weight_matches_permutations():
