@@ -13,12 +13,12 @@ E*_lambda - sum c_mu b*_mu is then assembled once and checked at every i_mu
 to equal the vector and to be bar-invariant.
 
 E*_lambda arrives packed (shuffle.Packed), and the correction decodes it at
-the words i_nu alone.  The assembly subtracts each c_mu b*_mu packed, one
-integer multiply-add per word of b*_mu, at a width that holds the bound
-|E*_lambda|_1 + sum |c_mu|_1 max|b*_mu| on every coefficient of the result;
-only the words that survive become Laurent polynomials.  While
-compute_weight runs, the packed b*_mu are kept for the weight's later
-partitions; outside it they are packed afresh from the table.
+the words i_nu alone.  The assembly (shuffle.sh_sub_scaled) subtracts each
+c_mu b*_mu packed, one integer multiply-add per word of b*_mu, at a width
+that holds the bound |E*_lambda|_1 + sum |c_mu|_1 max|b*_mu| on every
+coefficient of the result; only the words that survive become Laurent
+polynomials.  compute_weight keeps the packed b*_mu while it runs, for the
+weight's later partitions.
 
 A table drops the root system's word-pair memo when it finishes a weight
 (shuffle.drop_pair_memo).  The on-disk cache is streamed: a header line,
@@ -38,8 +38,7 @@ from .convex import ConvexOrder, Word
 from .kostant import KP, check_kp, kostant_partitions, kp_less, kp_scalars, sum_weight
 from .laurent import ExactDivisionError, LaurentPoly
 from .pbw import PBWCharacters
-from .shuffle import (Packed, ShuffleElement, drop_pair_memo, pack, render_word,
-                      slot_width, unpack)
+from .shuffle import ShuffleElement, drop_pair_memo, render_word, sh_sub_scaled
 
 
 class CorrectionError(ArithmeticError):
@@ -77,8 +76,6 @@ class CanonicalTable:
         self.pbw = pbw if pbw is not None else PBWCharacters(order)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._table: dict[KP, ShuffleElement] = {}
-        # packed copies of the b*_mu, kept while compute_weight runs
-        self._packing: dict | None = None
         if self.cache_dir:
             self._load_cache()
 
@@ -105,14 +102,12 @@ class CanonicalTable:
         todo = [lam for lam in kps if lam not in self._table]
         if todo:
             scalars = {mu: kp_scalars(mu, self.order) for mu in kps}
-            self._packing = {}
-            try:
-                for lam in todo:
-                    below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
-                             if kp_less(mu, lam, self.order)]
-                    self._table[lam] = self._leclerc(lam, below)
-            finally:
-                self._packing = None
+            # the packed b*_mu, for the weight's later partitions
+            packed: dict = {}
+            for lam in todo:
+                below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
+                         if kp_less(mu, lam, self.order)]
+                self._table[lam] = self._leclerc(lam, below, packed)
             drop_pair_memo(self.rs)
             if self.cache_dir:
                 self._save_cache()
@@ -120,11 +115,12 @@ class CanonicalTable:
 
     # -- the algorithm -------------------------------------------------------
 
-    def _leclerc(self, lam: KP,
-                 below: list[tuple[KP, LaurentPoly, Word]]) -> ShuffleElement:
+    def _leclerc(self, lam: KP, below: list[tuple[KP, LaurentPoly, Word]],
+                 packed: dict) -> ShuffleElement:
         """b*_lam from E*_lam, given b*_mu for every mu < lam.
 
-        below holds (mu, kappa_mu, i_mu) for the mu < lam in display order.
+        below holds (mu, kappa_mu, i_mu) for the mu < lam in display order;
+        packed keeps the packed b*_mu under mu (shuffle.sh_sub_scaled).
         """
         chi = self.pbw.proper_standard(lam)
         # only the words i_nu of the packed E*_lam are decoded here
@@ -140,8 +136,8 @@ class CanonicalTable:
                 coeff = b_mu.get(below[k][2])
                 if coeff is not None:
                     vec[k] = vec[k] - c * coeff
-            terms.append((mu, c))
-        out = self._assemble(Packed.of(chi), terms)
+            terms.append((mu, b_mu, c))
+        out = sh_sub_scaled(chi, terms, packed)
         for (mu, _, word), v in zip(below, vec):
             a = out.get(word, LaurentPoly.zero())
             if a != v or not a.is_bar_invariant():
@@ -151,39 +147,6 @@ class CanonicalTable:
                     f"order {self.order.label}: b*_{lam} at i_mu = {render_word(word)} "
                     f"of mu = {mu} {problem}")
         return out
-
-    def _assemble(self, chi: Packed,
-                  terms: list[tuple[KP, LaurentPoly]]) -> ShuffleElement:
-        """E*_lam - sum c_mu b*_mu, added up packed; only its words are decoded.
-
-        No coefficient of the result exceeds |E*_lam|_1 + sum over mu of
-        |c_mu|_1 max|b*_mu| in absolute value, and the width holds that bound.
-        """
-        # mu -> (max|b*_mu|, |b*_mu|_1, {width: packed b*_mu}); outside
-        # compute_weight the b*_mu are packed afresh from the table
-        packing = self._packing if self._packing is not None else {}
-        for mu, _ in terms:
-            if mu not in packing:
-                sizes = [abs(x) for p in self._table[mu].values() for x in p.c.values()]
-                packing[mu] = (max(sizes, default=0), sum(sizes), {})
-        bound = chi.bound + sum(sum(map(abs, c.c.values())) * packing[mu][0]
-                                for mu, c in terms)
-        width = max(chi.width, slot_width(bound))
-        packed = []
-        for mu, c in terms:
-            _, norm, by_width = packing[mu]
-            if width not in by_width:
-                by_width[width] = Packed.of(self._table[mu], width, norm=norm)
-            packed.append((by_width[width], c))
-        # c_mu packs at offset - p.offset, which its lowest term must not undercut
-        offset = max([chi.offset] + [p.offset - min(c.c) for p, c in packed if c])
-        acc = dict(chi.repacked(width, offset).ints)
-        get = acc.get
-        for p, c in packed:
-            C = pack(c.c, width, offset - p.offset)
-            for w, x in p.ints.items():
-                acc[w] = get(w, 0) - C * x
-        return {w: LaurentPoly(unpack(x, width, offset)) for w, x in acc.items() if x}
 
     # -- persistent cache ----------------------------------------------------
 

@@ -7,14 +7,15 @@ q^{-p}(1 - q^{2(p - beta.gamma)}), and the quotient is the character.
 Inexact division signals corrupted ordering data and raises.
 
 The q-commutator comes back packed (shuffle.Packed), and the solve divides
-it word by word as integers: a packed coefficient is (1 - 2^{K k}) times
-the packed quotient when the division is exact, and a quotient whose
-digits are small enough is proven to be the polynomial one
-(`_packed_quotient`); every other word goes through `exact_div`.
+it word by word as integers (`Packed.div_one_minus_qk`): at a width that
+holds the q-commutator's bound, the integer division by 1 - 2^{Kk} leaves
+no remainder exactly when 1 - q^k divides the polynomial, so the integers
+alone decide exactness and give the quotient.
 
 Dual PBW characters E*_lambda, the products of root characters along a
 Kostant partition, stay packed from the first factor on, at the width of
-the whole product's bound, and decode a word only when it is read.
+the whole product's bound (`Packed.for_product`), and decode a word only
+when it is read.
 
 A solve reads nothing but its two input characters, so it is memoized per
 root system on the identities of the two.  Every character handed out,
@@ -34,15 +35,13 @@ divisor is a product of factors (1 - q^{2k}), kept as a multiset of k.
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
 
 from .cartan import Root, RootSystem, p_max
 from .convex import ConvexOrder, Word, mp_choice
 from .kostant import KP, kostant_partitions, kp_scalars, multiplicities
 from .laurent import ExactDivisionError, LaurentPoly
-from .shuffle import (Packed, ShuffleElement, l1_norm, q_commutator, sh_dim, sh_word,
-                      shuffle, shuffle_letters, slot_width, unpack, word_weight,
-                      words_of_weight)
+from .shuffle import (Packed, ShuffleElement, q_commutator, sh_dim, sh_word, shuffle,
+                      shuffle_letters, word_weight, words_of_weight)
 
 
 class PBWCharacters:
@@ -78,61 +77,28 @@ class PBWCharacters:
         p = p_max(rs, beta, gamma)
         bg = rs.form(beta, gamma)
         num = q_commutator(cg, cb, -bg, rs)
-        div = LaurentPoly({-p: 1}) - LaurentPoly({p - 2 * bg: 1})
-        # div = q^-p (1 - q^k), and q^p num packs into num's own ints at
-        # offset - p
-        k = 2 * (p - bg)
+        # num / (q^-p (1 - q^k)) with k = 2 (p - bg) is q^p num / (1 - q^k)
         out: ShuffleElement = {}
-        for w, x in num.ints.items():
-            c = _packed_quotient(x, num.width, num.offset - p, k) if k > 0 else None
+        for w, c in num.div_one_minus_qk(2 * (p - bg), p):
             if c is None:
-                try:
-                    c = num[w].exact_div(div).c
-                except ExactDivisionError as e:
-                    raise ExactDivisionError(
-                        f"scale-factor division failed at word {w} for root {alpha} "
-                        f"(order {self.order.label}): {e}"
-                    ) from e
-            if c:
-                out[w] = LaurentPoly(c)
+                div = LaurentPoly({-p: 1}) - LaurentPoly({p - 2 * bg: 1})
+                raise ExactDivisionError(
+                    f"scale-factor division failed at word {w} for root {alpha} "
+                    f"(order {self.order.label}): ({num[w]}) is not divisible by ({div})")
+            out[w] = c
         return out
 
     def proper_standard(self, lam: KP) -> ShuffleElement:
-        """Ch of the shifted product of cuspidal characters along lambda.
-
-        The product stays packed (shuffle.Packed) from its first factor on, at
-        the width of the whole chain's bound: prod_k |r*_k|_1 times the
-        multinomial coefficient of the parts' heights counts every term.
-        """
+        """Ch of the shifted product of cuspidal characters along lambda."""
         if not lam:
             return sh_word(())
         _, s, _, _ = kp_scalars(lam, self.order)
         chars = [self.dual_root(part) for part in lam]
-        bound, height = 1, 0
-        for part, ch in zip(lam, chars):
-            height += sum(part)
-            bound *= l1_norm(ch) * comb(height, sum(part))
         # the product is bilinear, so q^s goes on the first factor alone
-        out = Packed.of(chars[0], slot_width(bound), shift=s)
+        out = Packed.for_product(chars, s)
         for ch in chars[1:]:
             out = shuffle(out, ch, self.rs)
         return out
-
-
-def _packed_quotient(x: int, width: int, offset: int, k: int) -> dict[int, int] | None:
-    """The coefficients of y = x / (1 - q^k), x packed at (width, offset).
-
-    If the integer x is (1 - X^k) y with every digit of y below 2^(width - 2)
-    in absolute value, the digits of (1 - q^k) y fit their slots, so they are
-    the digits of x and y is the exact quotient.  None otherwise: then the
-    division is inexact or the integers cannot tell.
-    """
-    y, r = divmod(x, 1 - (1 << width * k))
-    if r:
-        return None
-    c = unpack(y, width, offset)
-    limit = 1 << (width - 2)
-    return c if all(-limit < d < limit for d in c.values()) else None
 
 
 def _intern(ch: ShuffleElement, rs: RootSystem) -> ShuffleElement:

@@ -13,12 +13,20 @@ one integer product, so each word of each pair product costs one
 multiply-add.  The packing is exact because its width and offset come from
 proven bounds: every exponent of a product is at least the sum of its
 operands' lowest exponents and of minus the positive part of the form over
-the letter pairs, so the offset o makes every slot non-negative; and every
-coefficient of a o b is at most |a|_1 |b|_1 C(m + n, m) in absolute value,
-so the slot width K, from `slot_width`, holds it as a balanced digit.  A
+the letter pairs, so the offset o makes every slot non-negative; and the
+absolute values of all coefficients of a o b sum to at most
+|a|_1 |b|_1 C(m + n, m), so the slot width K, from `slot_width`, holds each
+of them as a balanced digit.  Only the result has to fit: packing is
+linear, so the integers may pass through any intermediate value.  A
 product whose bound outgrows its operands' width repacks them wider; no
 width is ever chosen below its bound.  Both functions return a read-only
 `Packed` mapping, which decodes a word's coefficient when it is read.
+
+The packed format stays inside this module.  `Packed.for_product` packs
+the first factor of a chain of products at the width of the whole chain,
+`Packed.div_one_minus_qk` divides packed coefficients by 1 - q^k as
+integers, and `sh_sub_scaled` adds up a - sum c b packed and decodes only
+the words that survive.
 
 `q_commutator(a, b, s) = a o b - q^s (b o a)` enumerates each pair once: by
 the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), the twisted half is the
@@ -35,7 +43,7 @@ since the solves that call it are memoized on their inputs (pbw.py).
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
 H(alpha) and of a resolution's Euler characteristic.  It adds into raw
-exponent dicts.
+exponent dicts, since its words meet one letter at a time.
 """
 
 from __future__ import annotations
@@ -138,7 +146,9 @@ def slot_width(bound: int) -> int:
     A slot holds a balanced digit in [-2^(K-1), 2^(K-1) - 1], so K is at
     least the bound's bit length plus a sign bit.  It is rounded up to 8,
     16, 32 or 64 bits, which unpack reads as machine integers, and past 64
-    bits to a multiple of 64.
+    bits to a multiple of 64.  Read as machine integers, the digits of the
+    solves and tables decode about 2.5 times faster than as byte slices of
+    the narrowest whole-byte width (BENCH_17.json).
     """
     bits = bound.bit_length() + 1
     return 8 << max(0, (bits - 1).bit_length() - 3) if bits <= 64 else -(-bits // 64) * 64
@@ -195,9 +205,9 @@ class Packed(Mapping):
     The coefficient of a word is sum of a_e 2^(width (e + offset)), one
     integer per word, so adding and multiplying coefficients is integer
     arithmetic.  bound is at least the sum of the absolute values of all
-    coefficients, so no coefficient exceeds it and width = slot_width(bound)
-    or wider reads every one back exactly.  A word's LaurentPoly is decoded
-    when the word is looked up; the ints hold no zero word.
+    coefficients, and width is at least slot_width(bound), so every
+    coefficient reads back exactly.  A word's LaurentPoly is decoded when
+    the word is looked up; the ints hold no zero word.
     """
 
     __slots__ = ("ints", "width", "offset", "bound")
@@ -209,19 +219,35 @@ class Packed(Mapping):
         self.bound = bound
 
     @classmethod
-    def of(cls, a: ShuffleElement, width: int | None = None, shift: int = 0,
+    def of(cls, a: ShuffleElement, width: int = 0, shift: int = 0,
            norm: int | None = None) -> "Packed":
-        """q^shift a, packed at width, or at the narrowest width its norm allows.
+        """q^shift a, packed at width or at the narrowest width its norm allows.
 
         norm, when given, is l1_norm(a).
         """
         if isinstance(a, Packed) and not shift:
-            return a if width is None else a.repacked(width, a.offset)
+            return a.repacked(max(width, a.width), a.offset)
         bound = l1_norm(a) if norm is None else norm
-        width = width or slot_width(bound)
+        width = max(width, slot_width(bound))
         offset = -min((min(p.c) for p in a.values() if p), default=0) - shift
         return cls({w: pack(p.c, width, offset + shift) for w, p in a.items() if p},
                    width, offset, bound)
+
+    @classmethod
+    def for_product(cls, factors: list[ShuffleElement], shift: int = 0) -> "Packed":
+        """q^shift f_1, packed at the width of the product f_1 o f_2 o ... o f_n.
+
+        prod_k |f_k|_1 times the multinomial coefficient of the factors' word
+        lengths bounds the product, and the bound of every partial product
+        f_1 o ... o f_k is at most that, so shuffling in f_2, ..., f_n in
+        turn never repacks.
+        """
+        bound, length = 1, 0
+        for f in factors:
+            m = max(map(len, f), default=0)
+            length += m
+            bound *= l1_norm(f) * comb(length, m)
+        return cls.of(factors[0], slot_width(bound), shift)
 
     def repacked(self, width: int, offset: int) -> "Packed":
         """The same element at a width and an offset no smaller than its own."""
@@ -233,6 +259,25 @@ class Packed(Mapping):
                           width, offset, self.bound)
         return Packed({w: pack(unpack(x, self.width, self.offset), width, offset)
                        for w, x in self.ints.items()}, width, offset, self.bound)
+
+    def div_one_minus_qk(self, k: int, shift: int = 0):
+        """(w, q^shift a[w] / (1 - q^k)) for each word w, k > 0, as integers.
+
+        The quotient is None where 1 - q^k does not divide.  Exactness.  Let
+        x = a[w] and P = q^offset x, a polynomial with X = P(2^K) the packed
+        integer.  P = (q^k - 1) Q + R with R of degree below k, and each
+        coefficient of R is a sum of coefficients of x, so R's coefficients
+        are at most |x|_1 <= bound < 2^(K-1) in absolute value.  Then
+        |R(2^K)| < 2^(Kk) - 1, so X is a multiple of 1 - 2^(Kk) exactly when
+        R(2^K) = 0, that is when R = 0, as its digits fit their slots: the
+        remainder of the integer division decides.  An exact quotient y has
+        y_e = sum over j >= 0 of x_(e - jk), again at most |x|_1, so the
+        integer quotient decodes to y.
+        """
+        one = 1 - (1 << self.width * k)
+        for w, x in self.ints.items():
+            y, r = divmod(x, one)
+            yield w, None if r else LaurentPoly(unpack(y, self.width, self.offset - shift))
 
     def __getitem__(self, w: Word) -> LaurentPoly:
         return LaurentPoly(unpack(self.ints[w], self.width, self.offset))
@@ -269,11 +314,12 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     -pos <= e <= neg, with pos and neg the sums of the positive and of the
     negated negative values of the form over all such pairs; both depend on
     the weights of u and v alone.  The result's offset makes the lowest of
-    these slots non-negative.  Every coefficient of a o b is at most
-    |a|_1 |b|_1 C(m + n, m) in absolute value, C(m + n, m) counting the
-    interleavings of words of lengths m and n, and twice that with the
-    twisted half; the width holds that bound, or the operands' width if it
-    is wider, and an operand packed narrower is repacked.
+    these slots non-negative.  The absolute values of all coefficients of
+    a o b sum to at most |a|_1 |b|_1 C(m + n, m), C(m + n, m) counting the
+    interleavings of words of lengths m and n, and to twice that with the
+    twisted half; that is the result's bound, the width holds it, or the
+    operands' width if it is wider, and an operand packed narrower is
+    repacked.
 
     By the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), an interleaving with
     exponent e in u o v has exponent -(|u|,|v|) - e in v o u, so each pair
@@ -368,6 +414,45 @@ def sh_scale(a: ShuffleElement, c: LaurentPoly | int) -> ShuffleElement:
 
 def sh_sub(a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
     return sh_add(a, sh_scale(b, -1))
+
+
+def sh_sub_scaled(a: ShuffleElement,
+                  terms: list[tuple[object, ShuffleElement, LaurentPoly]],
+                  memo: dict) -> ShuffleElement:
+    """a - sum of c b over the (key, b, c) of terms, added up packed.
+
+    One integer multiply-add per word of each b; only the words of the
+    result are decoded.  No coefficient of the result exceeds
+    |a|_1 + sum of |c|_1 max|b| in absolute value, and the width holds that
+    bound.  memo keeps each b's packings under its key, for callers that
+    subtract the same b again; the caller decides how long it lives.
+    """
+    a = Packed.of(a)
+    bound, offset = a.bound, a.offset
+    for key, b, c in terms:
+        if key not in memo:
+            cs = [p.c for p in b.values() if p]
+            # (max|b|, the offset that puts b's lowest exponent in slot 0,
+            # {width: packed b})
+            memo[key] = (max((abs(x) for d in cs for x in d.values()), default=0),
+                         -min((min(d) for d in cs), default=0), {})
+        top, low, _ = memo[key]
+        bound += sum(map(abs, c.c.values())) * top
+        if c:
+            # c packs at offset - low, which its lowest term must not undercut
+            offset = max(offset, low - min(c.c))
+    width = max(a.width, slot_width(bound))
+    acc = dict(a.repacked(width, offset).ints)
+    get = acc.get
+    for key, b, c in terms:
+        _, low, by_width = memo[key]
+        ints = by_width.get(width)
+        if ints is None:
+            ints = by_width[width] = {w: pack(p.c, width, low) for w, p in b.items() if p}
+        C = pack(c.c, width, offset - low)
+        for w, x in ints.items():
+            acc[w] = get(w, 0) - C * x
+    return {w: LaurentPoly(unpack(x, width, offset)) for w, x in acc.items() if x}
 
 
 def q_commutator(a: ShuffleElement, b: ShuffleElement, s: int,

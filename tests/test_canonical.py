@@ -293,7 +293,11 @@ def test_sort_order_extends_kp_order():
 
 
 def below_of(lam, kps, o):
-    """_leclerc's second argument: (mu, kappa_mu, i_mu) for the mu < lam."""
+    """_leclerc's second argument: (mu, kappa_mu, i_mu) for the mu < lam.
+
+    The tests below pass _leclerc an empty packing memo, so the assembly
+    packs the b*_mu from the (corrupted) table.
+    """
     return [(mu, *kp_scalars(mu, o)[2:]) for mu in kps if kp_less(mu, lam, o)]
 
 
@@ -310,7 +314,7 @@ def test_corrupted_lower_entry_is_reported():
     with pytest.raises(CorrectionError, match=r"order lyndon: .*\(0, 1\), \(2, 1\), "
                                               r"\(1, 0\).* i_mu = 12112 of mu = "
                                               r"\(\(1, 1\), \(2, 1\)\) is "):
-        table._leclerc(lam, below_of(lam, kps, o))
+        table._leclerc(lam, below_of(lam, kps, o), {})
 
 
 def test_wrong_kappa_is_reported():
@@ -329,7 +333,7 @@ def test_wrong_kappa_is_reported():
     table._table[mu] = dict(table._table[mu])
     table._table[mu][word] = kappa * 2
     with pytest.raises(CorrectionError, match=r"of mu = .* is not bar-invariant"):
-        table._leclerc(lam, below)
+        table._leclerc(lam, below, {})
 
 
 def test_assembly_widens_past_the_product():
@@ -348,7 +352,7 @@ def test_assembly_widens_past_the_product():
     read = {word for _, _, word in below}
     word = next(w for w in words_of_weight((3, 2)) if w not in read)
     table._table[mu] = sh_add(table._table[mu], {word: LaurentPoly.term(2**100, -40)})
-    got = table._leclerc(lam, below)
+    got = table._leclerc(lam, below, {})
     assert chi.width < 64 and min(got[word].c) < -chi.offset
     assert sh_eq(got, oracle_leclerc(lam, kps, o, table.pbw, table._table))
 

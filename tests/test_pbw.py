@@ -10,9 +10,9 @@ from klrchar.kostant import kostant_partitions, kp_less, kp_scalars
 from klrchar.laurent import ExactDivisionError, LaurentPoly, series
 from klrchar import pbw as pbw_mod
 from klrchar.cartan import p_max
-from klrchar.pbw import (PBWCharacters, _packed_quotient, char_projective, dim_formula,
-                         dim_H, dim_standard, standard_divisor)
-from klrchar.shuffle import (deg_stat, is_bar_invariant, pack, q_commutator, sh_dim,
+from klrchar.pbw import (PBWCharacters, char_projective, dim_formula, dim_H, dim_standard,
+                         standard_divisor)
+from klrchar.shuffle import (Packed, deg_stat, is_bar_invariant, pack, q_commutator, sh_dim,
                              sh_eq, sh_scale, sh_sub, sh_word, shuffle)
 from klrchar.verify import weights_up_to
 
@@ -289,24 +289,44 @@ def test_inexact_division_detected():
             c.exact_div(bad_div)
 
 
-def test_packed_quotient_needs_small_digits():
-    # 100 + 100 q + 55 q^2 at 8 bits sums to 255, so its integer is a
-    # multiple of 1 - 2^8, but 1 - q does not divide it; the integer
-    # quotient has the digit 100 >= 2^6 and is refused
-    x = pack({0: 100, 1: 100, 2: 55}, 8, 0)
-    assert x % (1 - 256) == 0
-    assert _packed_quotient(x, 8, 0, 1) is None
-    # an exact quotient with digits below 2^(K-2) comes back, at any offset
-    for width in (8, 16, 64):
-        g = {-2: 5, 0: -63, 3: 1}
-        f = (LaurentPoly(g) * LaurentPoly({0: 1, 2: -1})).c
-        assert _packed_quotient(pack(f, width, 4), width, 4, 2) == g
-    assert _packed_quotient(pack({0: 1, 1: 1}, 16, 0), 16, 0, 2) is None
+def test_packed_division_is_decided_by_the_remainder():
+    # at the width Packed.of picks, the integer remainder alone says whether
+    # 1 - q^k divides: Laurent polynomials with |x|_1 up to 2^7 - 1 at 8 bits,
+    # divisible and not, against exact_div
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        k = rng.randint(1, 3)
+        x = LaurentPoly({rng.randint(-3, 4): rng.randint(-40, 40)
+                         for _ in range(rng.randint(1, 4))})
+        if rng.random() < 0.5:
+            x = x * LaurentPoly({0: 1, k: -1})
+        if not x or sum(map(abs, x.c.values())) > 127:
+            continue
+        packed = Packed.of({(1,): x})
+        assert packed.width == 8
+        shift = rng.randint(-2, 2)
+        [(word, got)] = packed.div_one_minus_qk(k, shift)
+        try:
+            want = (x * LaurentPoly.term(1, shift)).exact_div(LaurentPoly({0: 1, k: -1}))
+        except ExactDivisionError:
+            want = None
+        assert (word, got) == ((1,), want), (x, k, shift)
+        seen[want is None] += 1
+    assert min(seen.values()) > 500
+    # below the bound the integers can be fooled: 100 + 100 q + 55 q^2 at
+    # 8 bits is a multiple of 1 - 2^8, but 1 - q does not divide it; its
+    # bound 255 takes 16 bits, where the remainder is not 0
+    x = {0: 100, 1: 100, 2: 55}
+    assert pack(x, 8, 0) % (1 - 2**8) == 0
+    packed = Packed.of({(1,): LaurentPoly(x)})
+    assert packed.width == 16
+    assert list(packed.div_one_minus_qk(1)) == [((1,), None)]
 
 
 def test_solve_reports_an_inexact_division(monkeypatch):
-    # a wrong p_max makes the q-commutator indivisible: the packed quotient
-    # is refused and exact_div names the word
+    # a wrong p_max makes the q-commutator indivisible: the integer division
+    # leaves a remainder, and the error names the word
     rs, o, pbw = setup_type("B", 3)
     monkeypatch.setattr(pbw_mod, "p_max", lambda rs, b, g: 5)
     with pytest.raises(ExactDivisionError, match=r"scale-factor division failed at "

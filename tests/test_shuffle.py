@@ -14,8 +14,9 @@ from klrchar.laurent import LaurentPoly
 from klrchar.pbw import PBWCharacters
 from klrchar.shuffle import (Packed, bar, deg_stat, pack, parse_word, q_commutator,
                              render_word, restrict_character, sh_add, sh_dim, sh_eq,
-                             sh_scale, sh_sub, sh_word, shuffle, shuffle_letters,
-                             slot_width, unpack, word_weight, words_of_weight)
+                             sh_scale, sh_sub, sh_sub_scaled, sh_word, shuffle,
+                             shuffle_letters, slot_width, unpack,
+                             word_weight, words_of_weight)
 from klrchar.tables import G2_CANONICAL_TABLE, parse_bracket_expr
 
 
@@ -331,6 +332,57 @@ def test_width_holds_a_coefficient_at_its_bound():
     got = shuffle({(1, 1): LaurentPoly.term(n)}, {(1, 1): LaurentPoly.term(n)}, a1)
     assert got == {(1, 1, 1, 1): LaurentPoly({0: n * n, -2: n * n, -4: 2 * n * n,
                                               -6: n * n, -8: n * n})}
+
+
+def test_sub_scaled_matches_laurent_arithmetic():
+    # a - sum c b against sh_sub and sh_scale, with coefficients past 2^64
+    # at negative exponents; the memo reuses a b packed at an earlier
+    # width and packs it again at a wider one
+    rng = random.Random(41)
+    memo = {}
+    for trial in range(12):
+        a = _wide_element(rng, 3, 4)
+        terms = []
+        for key in rng.sample(range(4), rng.randint(1, 3)):
+            b = _wide_element(random.Random(key), 3, 3) if key else {}
+            c = LaurentPoly({rng.randint(-3, 3): rng.choice((-1, 1)) * rng.randint(1, 2**70)
+                             for _ in range(rng.randint(0, 2))})
+            terms.append((key, b, c))
+        want = a
+        for _, b, c in terms:
+            want = sh_sub(want, sh_scale(b, c))
+        got = sh_sub_scaled(shuffle(a, {(): LaurentPoly.one()}, RootSystem(CartanType("A", 3))),
+                            terms, memo)
+        assert sh_eq(got, want), trial
+    assert any(len(by_width) > 1 for _, _, by_width in memo.values())
+
+
+def test_product_is_packed_once_for_the_chain(monkeypatch):
+    # the first factor is packed at the chain's width, so no later step
+    # repacks to a wider one
+    widened = []
+    repacked = Packed.repacked
+
+    def spy(self, width, offset):
+        if width != self.width:
+            widened.append((self.width, width))
+        return repacked(self, width, offset)
+
+    monkeypatch.setattr(Packed, "repacked", spy)
+    rng = random.Random(43)
+    rs = RootSystem(CartanType("B", 3))
+    # wide coefficients, and single words whose interleavings alone take
+    # the product from 8 to 16 bits
+    chains = [[_wide_element(rng, 3, 2, length=2) for _ in range(3)] for _ in range(4)]
+    chains.append([{w: LaurentPoly.term(1, -1)} for w in [(1, 2, 3), (3, 2, 1), (2, 2, 3)]])
+    for fs in chains:
+        got = Packed.for_product(fs, shift=2)
+        for f in fs[1:]:
+            got = shuffle(got, f, rs)
+        want = oracle_product(oracle_product(fs[0], fs[1], rs), fs[2], rs)
+        assert sh_eq(got, sh_scale(want, LaurentPoly.term(1, 2)))
+    assert got.width == 16
+    assert widened == []
 
 
 def test_words_of_weight_matches_permutations():
