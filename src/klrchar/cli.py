@@ -274,6 +274,9 @@ def cmd_gram(args, rs: RootSystem) -> int:
             return _fail("gram needs --parts and --word (or --willcex)")
         lam = _parse_lambda(args.parts, rs.rank)
         word = _parse_word(args.word, "--word")
+        if not all(1 <= x <= rs.rank for x in word):
+            return _fail(f"--word {args.word!r} has a label outside the nodes "
+                         f"1..{rs.rank} of {rs.cartan_type}")
         degree = args.degree
         order = _build_order(args, rs)
         engine = KLR(rs, _parse_eps(args.eps, rs))

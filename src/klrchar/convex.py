@@ -28,7 +28,6 @@ class ConvexOrder:
         self.roots: tuple[Root, ...] = tuple(roots)
         self.rank_of = {b: k for k, b in enumerate(roots)}
         self.label = label
-        self._mp_cache: dict[Root, tuple[Root, Root]] = {}
 
     def precedes(self, a: Root, b: Root) -> bool:
         return self.rank_of[a] < self.rank_of[b]
@@ -166,10 +165,7 @@ def minimal_pairs(alpha: Root, order: ConvexOrder) -> list[tuple[Root, Root]]:
 
 def mp_choice(alpha: Root, order: ConvexOrder) -> tuple[Root, Root]:
     """The fixed minimal pair: the decomposition with gamma maximal."""
-    if alpha not in order._mp_cache:
-        pairs = _ordered_decompositions(alpha, order)
-        if not pairs:
-            raise ValueError(f"{alpha} has no two-part decomposition")
-        order._mp_cache[alpha] = max(pairs, key=lambda p: order.rank_of[p[1]])
-    return order._mp_cache[alpha]
-
+    pairs = _ordered_decompositions(alpha, order)
+    if not pairs:
+        raise ValueError(f"{alpha} has no two-part decomposition")
+    return max(pairs, key=lambda p: order.rank_of[p[1]])

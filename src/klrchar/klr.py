@@ -115,8 +115,11 @@ def elem_scale(a: Element, c: int) -> Element:
     return {k: v * c for k, v in a.items()}
 
 
+TERM_BUDGET = 10_000_000
+
+
 class ResourceBudgetError(RuntimeError):
-    """Straightening produced more monomials than the configured budget."""
+    """Straightening produced an element of more than TERM_BUDGET monomials."""
 
 
 class KLR:
@@ -126,8 +129,7 @@ class KLR:
     orthogonal word blocks and multiply to zero.
     """
 
-    def __init__(self, rs: RootSystem, eps: dict[tuple[int, int], int] | None = None,
-                 term_budget: int = 10_000_000):
+    def __init__(self, rs: RootSystem, eps: dict[tuple[int, int], int] | None = None):
         self.rs = rs
         self.cartan = rs.cartan
         self.d = rs.d
@@ -141,14 +143,12 @@ class KLR:
         for (i, j), s in eps.items():
             if eps.get((j, i), 0) * s != -1:
                 raise ValueError(f"sign convention violates eps({i},{j})eps({j},{i}) = -1")
-        self.term_budget = term_budget
         self._ttp: dict[tuple, Element] = {}
         self._zeros: dict[int, tuple] = {}
 
     def _guard(self, elem: Element) -> Element:
-        if len(elem) > self.term_budget:
-            raise ResourceBudgetError(
-                f"straightening exceeded {self.term_budget} monomials")
+        if len(elem) > TERM_BUDGET:
+            raise ResourceBudgetError(f"straightening exceeded {TERM_BUDGET} monomials")
         return elem
 
     # -- constructors --------------------------------------------------------

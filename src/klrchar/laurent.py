@@ -181,25 +181,37 @@ QUANTUM_FACTOR_MAX_N = 12
 def quantum_factors(p: LaurentPoly) -> list[tuple[int, int]] | None:
     """Factor a positive bar-invariant polynomial as a product of [n] in q^d.
 
-    Returns (n, d) pairs with n <= QUANTUM_FACTOR_MAX_N, or None when no such
-    factorization is found.
-    Depth-first search over candidate factors; fine for table-sized inputs.
+    Returns (n, d) pairs sorted by (d, n), with n <= QUANTUM_FACTOR_MAX_N, or
+    None.  p(1) is the product of the n, so a prime factor of p(1) above that
+    rules p out at once; else a depth-first search takes factors in
+    non-increasing (d, n), each multiset of factors in one order only.
     """
-    if p == LaurentPoly.one():
-        return []
-    if not p or min(p.c.values()) < 0 or not p.is_bar_invariant():
+    m = sum(p.c.values())
+    for k in range(2, QUANTUM_FACTOR_MAX_N + 1):
+        while m and m % k == 0:
+            m //= k
+    if m != 1:
         return None
-    top = p.max_exp()
-    for d in range(top, 0, -1):
-        for n in range(min(QUANTUM_FACTOR_MAX_N, top // d + 1), 1, -1):
-            try:
-                q = p.exact_div(LaurentPoly.qint(n, d))
-            except ExactDivisionError:
-                continue
-            rest = quantum_factors(q)
-            if rest is not None:
-                return sorted(rest + [(n, d)], key=lambda t: (t[1], t[0]))
-    return None
+
+    def search(p: LaurentPoly, last: tuple[int, int]):
+        if p == LaurentPoly.one():
+            return []
+        if min(p.c.values()) < 0 or not p.is_bar_invariant():
+            return None
+        top = p.max_exp()
+        for d in range(min(top, last[0]), 0, -1):
+            cap = last[1] if d == last[0] else QUANTUM_FACTOR_MAX_N
+            for n in range(min(cap, top // d + 1), 1, -1):
+                try:
+                    q = p.exact_div(LaurentPoly.qint(n, d))
+                except ExactDivisionError:
+                    continue
+                rest = search(q, (d, n))
+                if rest is not None:
+                    return rest + [(n, d)]
+        return None
+
+    return search(p, (p.max_exp(), QUANTUM_FACTOR_MAX_N))
 
 
 def factor_quantum(p: LaurentPoly, d_labels: dict[int, int] | None = None) -> str:

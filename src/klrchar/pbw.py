@@ -23,11 +23,11 @@ simple roots included, is interned per root system, so equal characters
 are one object, and orderings whose minimal-pair recursions reach the same
 two characters share one solve.
 
-Projective characters come from the letter-shuffle fold: the character of
-H 1_j is the shuffle j_1 o ... o j_n of the single letters of j divided by
-prod_k (1 - q^{2 d_{j_k}}).  The graded dimension of H(alpha) is one fold
-over all words of alpha, summed and divided once, and `dim_formula` sets it
-against the sum over Kostant partitions of Dim Delta(lambda) Dim bar-Delta(lambda)
+Projective characters come from the letter-shuffle fold, whose numerators
+are packed too: the character of H 1_j is the shuffle j_1 o ... o j_n of
+the letters of j over prod_k (1 - q^{2 d_{j_k}}).  The graded dimension of
+H(alpha) is one fold over all words of alpha, summed and divided once, and
+`dim_formula` sets it against sum_lambda Dim Delta(lambda) Dim bar-Delta(lambda)
 exactly, as numerators over one common multiple of the divisors.  Every
 divisor is a product of factors (1 - q^{2k}), kept as a multiset of k.
 """
@@ -91,7 +91,7 @@ class PBWCharacters:
     def proper_standard(self, lam: KP) -> ShuffleElement:
         """Ch of the shifted product of cuspidal characters along lambda."""
         if not lam:
-            return sh_word(())
+            return Packed.of(sh_word(()))
         _, s, _, _ = kp_scalars(lam, self.order)
         chars = [self.dual_root(part) for part in lam]
         # the product is bilinear, so q^s goes on the first factor alone

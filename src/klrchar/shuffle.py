@@ -5,21 +5,23 @@ two words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts
 crossing pairs weighted by minus the form on the letters.  Single word-pair
 products are enumerated depth first from an explicit stack.
 
-`shuffle` and `q_commutator` share one kernel, `_shuffle_pass`, which runs
-on packed coefficients (`Packed`): a word's Laurent polynomial sum a_e q^e
-is the one integer sum a_e 2^{K (e + o)}, a Kronecker substitution q = 2^K.
-Adding coefficients is then integer addition, and the product of two is
-one integer product, so each word of each pair product costs one
-multiply-add.  The packing is exact because its width and offset come from
-proven bounds: every exponent of a product is at least the sum of its
-operands' lowest exponents and of minus the positive part of the form over
-the letter pairs, so the offset o makes every slot non-negative; and the
-absolute values of all coefficients of a o b sum to at most
+Every coefficient here but in `_pair_shuffle`'s output is packed (`Packed`):
+a word's Laurent polynomial sum a_e q^e is the one integer
+sum a_e 2^{K (e + o)}, a Kronecker substitution q = 2^K.  Adding
+coefficients is then integer addition, and the product of two is one
+integer product, so each word of each pair product costs one multiply-add.
+Two algorithms run on them: the pair kernel `_shuffle_pass` of `shuffle`
+and `q_commutator`, and the letter fold `shuffle_letters`.  The packing of
+a product is exact because its width and offset come from proven bounds:
+every exponent of a product is at least the sum of its operands' lowest
+exponents and of minus the positive part of the form over the letter
+pairs, so the offset o makes every slot non-negative; and the absolute
+values of all coefficients of a o b sum to at most
 |a|_1 |b|_1 C(m + n, m), so the slot width K, from `slot_width`, holds each
 of them as a balanced digit.  Only the result has to fit: packing is
 linear, so the integers may pass through any intermediate value.  A
 product whose bound outgrows its operands' width repacks them wider; no
-width is ever chosen below its bound.  Both functions return a read-only
+width is ever chosen below its bound.  All three return a read-only
 `Packed` mapping, which decodes a word's coefficient when it is read.
 
 The packed format stays inside this module.  `Packed.for_product` packs
@@ -42,8 +44,8 @@ since the solves that call it are memoized on their inputs (pbw.py).
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
-H(alpha) and of a resolution's Euler characteristic.  It adds into raw
-exponent dicts, since its words meet one letter at a time.
+H(alpha) and of a resolution's Euler characteristic.  It inserts one letter
+at a time, each insertion one shift of a packed integer.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import sys
 from array import array
 from collections.abc import Mapping
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .cartan import RootSystem
 from .convex import Word
@@ -295,16 +297,6 @@ class Packed(Mapping):
         return repr(dict(self.items()))
 
 
-def _finish(acc: dict[Word, dict[int, int]]) -> ShuffleElement:
-    """Raw exponent dicts to an element, dropping zero terms and zero words."""
-    out: ShuffleElement = {}
-    for w, d in acc.items():
-        c = {k: v for k, v in d.items() if v}
-        if c:
-            out[w] = LaurentPoly(c)
-    return out
-
-
 def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
                   s: int | None) -> Packed:
     """a o b, or with s given a o b - q^s (b o a), in one pass over the word pairs.
@@ -461,31 +453,36 @@ def q_commutator(a: ShuffleElement, b: ShuffleElement, s: int,
     return _shuffle_pass(a, b, rs, s)
 
 
-def shuffle_letters(terms: ShuffleElement, rs: RootSystem) -> ShuffleElement:
+def shuffle_letters(terms: ShuffleElement, rs: RootSystem) -> Packed:
     """sum of c (w_1 o w_2 o ... o w_n) over the words w of terms, c = terms[w].
 
     With x_p the part of the sum below the prefix p, x_p = sum_a (a) o x_{pa};
     the prefixes are peeled from the longest down, so words that share a
-    prefix shuffle it once.  Inserting a after the first t letters of u costs
-    q^{-sum_{k<t} (a, u_k)}.  Coefficients stay raw exponent dicts until the end.
+    prefix shuffle it once.  Inserting a after the first t letters of u is a
+    shift by q^{-sum_{k<t} (a, u_k)}.  The n! interleavings bound the result
+    by sum |c|_1 n!.  The offset lift - min(c), lift the positive part of the
+    form over a word's letter pairs, keeps every partial sum's exponents at
+    least -offset, so a negative shift drops only zero bits.
     """
     B = rs.bilinear_matrix
-    nodes: dict[Word, dict[Word, dict[int, int]]] = {(): {}}
-    for w, c in terms.items():
-        for k in range(len(w) + 1):
-            nodes.setdefault(tuple(w[:k]), {})
-        nodes[tuple(w)][()] = dict(c.c)
+    terms = {tuple(w): c for w, c in terms.items() if c}
+    lift = max((sum(max(0, B[a - 1][b - 1]) for k, a in enumerate(x) for b in x[k + 1:])
+                for x in {tuple(sorted(w)) for w in terms}), default=0)
+    bound = sum(sum(map(abs, c.c.values())) * factorial(len(w)) for w, c in terms.items())
+    width = slot_width(bound)
+    offset = lift - min((min(c.c) for c in terms.values()), default=0)
+    nodes = {(): {}} | {w[:k]: {} for w in terms for k in range(len(w))}
+    nodes |= {w: {(): pack(c.c, width, offset)} for w, c in terms.items()}
     for p in sorted(nodes, key=len, reverse=True)[:-1]:
         parent, row, a = nodes[p[:-1]], B[p[-1] - 1], p[-1:]
-        for u, exps in nodes.pop(p).items():
+        for u, x in nodes.pop(p).items():
             e = 0
             for t in range(len(u) + 1):
                 if t:
                     e -= row[u[t - 1] - 1]
-                acc = parent.setdefault(u[:t] + a + u[t:], {})
-                for k, v in exps.items():
-                    acc[k + e] = acc.get(k + e, 0) + v
-    return _finish(nodes[()])
+                v = u[:t] + a + u[t:]
+                parent[v] = parent.get(v, 0) + (x << width * e if e >= 0 else x >> -width * e)
+    return Packed({w: x for w, x in nodes[()].items() if x}, width, offset, bound)
 
 
 def words_of_weight(weight) -> list[Word]:
@@ -565,20 +562,11 @@ def parse_word(text: str) -> Word:
 
 
 def sh_to_json(a: ShuffleElement) -> list[dict]:
-    return [
-        {"word": render_word(w), "coeff": a[w].to_json()}
-        for w in sorted(a)
-        if a[w]
-    ]
+    return [{"word": render_word(w), "coeff": c.to_json()} for w, c in sorted(a.items()) if c]
 
 
-def sh_dim(a: ShuffleElement) -> LaurentPoly:
+def sh_dim(a: Packed) -> LaurentPoly:
     """Total graded dimension: sum of all word coefficients."""
-    if isinstance(a, Packed):
-        # the sum is within the l1 bound, so it fits the width
-        return LaurentPoly(unpack(sum(a.ints.values()), a.width, a.offset))
-    out = LaurentPoly.zero()
-    for c in a.values():
-        out = out + c
-    return out
+    # the sum is within the l1 bound, so it fits the width
+    return LaurentPoly(unpack(sum(a.ints.values()), a.width, a.offset))
 

@@ -130,6 +130,27 @@ def test_unparsable_parts_names_the_option(capsys, parts):
     assert json.loads(out) == {"error": "--parts entries need 3 coefficients"}
 
 
+@pytest.mark.parametrize("rank,parts,word", [(3, "1,1,1", "1234"), (2, "1,1", "3"),
+                                              (2, "1,1", "0,1")])
+def test_gram_word_outside_the_nodes_is_named(capsys, rank, parts, word):
+    code, out, _ = run_cli(capsys, "gram", "--type", "A", "--rank", str(rank),
+                           "--parts", parts, "--word", word)
+    assert code == 1
+    want = f"--word {word!r} has a label outside the nodes 1..{rank} of A{rank}"
+    assert json.loads(out) == {"error": want}
+
+
+def test_kp_with_unfactorable_kappa_finishes(capsys):
+    # kappa of the partition into fourteen a1+a2 is [14]!, which has no
+    # factorization into [n]_d with n <= 12; the search rejects it at once
+    code, out, err = run_cli(capsys, "kp", "--type", "A", "--rank", "2", "--alpha", "14,14")
+    assert code == 0
+    assert len(json.loads(out)["partitions"]) == 15
+    lines = err.splitlines()
+    assert "kappa=(q^-91 + 13*q^-89" in lines[0]
+    assert "kappa=[2]_1" in lines[2]
+
+
 @pytest.mark.parametrize("part", ["2,0", "0,0"])
 def test_part_that_is_not_a_root_is_named(capsys, part):
     code, out, err = run_cli(capsys, "gram", "--type", "A", "--rank", "2",

@@ -1,5 +1,7 @@
-from klrchar.laurent import (ExactDivisionError, LaurentPoly, factor_quantum,
-                             quantum_factors, series)
+import random
+
+from klrchar.laurent import (QUANTUM_FACTOR_MAX_N, ExactDivisionError, LaurentPoly,
+                             factor_quantum, quantum_factors, series)
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,49 @@ def test_quantum_factors():
     assert quantum_factors(LaurentPoly({1: 1})) is None
     assert factor_quantum(LaurentPoly.one()) == "1"
     assert factor_quantum(g2, {1: 1, 3: 2}) == "[2]_1[3]_1[2]_2"
+
+
+def exhaustive_quantum_factors(p):
+    """Oracle: depth-first search over every order of the candidate factors."""
+    if p == LaurentPoly.one():
+        return []
+    if not p or min(p.c.values()) < 0 or not p.is_bar_invariant():
+        return None
+    top = p.max_exp()
+    for d in range(top, 0, -1):
+        for n in range(min(QUANTUM_FACTOR_MAX_N, top // d + 1), 1, -1):
+            try:
+                q = p.exact_div(LaurentPoly.qint(n, d))
+            except ExactDivisionError:
+                continue
+            rest = exhaustive_quantum_factors(q)
+            if rest is not None:
+                return sorted(rest + [(n, d)], key=lambda t: (t[1], t[0]))
+    return None
+
+
+def test_quantum_factors_match_the_exhaustive_search():
+    # products of up to four [n]_d, and a few polynomials that are not such
+    # products, give the factorization the unpruned search gives first
+    rng = random.Random(19)
+    cases = [LaurentPoly.zero(), LaurentPoly.term(2), LaurentPoly.term(1, 2),
+             LaurentPoly.qint(2) + LaurentPoly.one(), LaurentPoly.qint(3, 2) * 2,
+             LaurentPoly.qfact(12)]
+    for _ in range(150):
+        p = LaurentPoly.one()
+        for _ in range(rng.randint(0, 4)):
+            p = p * LaurentPoly.qint(rng.randint(1, 12), rng.randint(1, 3))
+        cases.append(p)
+    for p in cases:
+        assert quantum_factors(p) == exhaustive_quantum_factors(p), p
+
+
+def test_quantum_factors_reject_a_prime_above_the_largest_n():
+    # [13]! evaluates to 13! at q = 1, and 13 is no product of n <= 12; the
+    # exhaustive search tries every order of the factors of [12]! first
+    for n in (13, 14, 20):
+        assert quantum_factors(LaurentPoly.qfact(n)) is None
+    assert quantum_factors(LaurentPoly.qint(13) * LaurentPoly.qint(2)) is None
 
 
 def _library_results():

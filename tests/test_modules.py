@@ -260,11 +260,13 @@ def test_pairing_vanishes_across_words_and_degrees():
                 assert M.pair_basis(b1, b2) == 0, (w1, d1, w2, d2)
 
 
-def test_term_budget_guard():
-    from klrchar.klr import KLR, ResourceBudgetError
+def test_term_budget_guard(monkeypatch):
+    from klrchar import klr
+    from klrchar.klr import ResourceBudgetError
 
+    monkeypatch.setattr(klr, "TERM_BUDGET", 1)
     rs = RootSystem(CartanType("A", 2))
-    H = KLR(rs, term_budget=1)
+    H = KLR(rs)
     with pytest.raises(ResourceBudgetError):
         H.lmul_tau(0, H.lmul_x(1, H.idempotent((1, 1))))
 

@@ -297,7 +297,7 @@ def test_packed_operands_chain_like_plain_ones():
         assert abc.width > ab.width
         assert sh_eq(abc, want)
         assert sh_eq(shuffle(a, shuffle(b, c, rs), rs), want)
-        assert sh_dim(ab) == sh_dim(dict(ab.items()))
+        assert sh_dim(ab) == sum(ab.values(), LaurentPoly.zero())
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
@@ -391,6 +391,17 @@ def test_words_of_weight_matches_permutations():
         assert words_of_weight(weight) == sorted(set(permutations(letters))), weight
 
 
+def pairwise_fold(terms, rs):
+    """Oracle: each word's letters shuffled in one at a time by the pair kernel."""
+    want = {}
+    for w, c in terms.items():
+        acc = {(): LaurentPoly.one()}
+        for letter in w:
+            acc = shuffle(acc, sh_word((letter,)), rs)
+        want = sh_add(want, sh_scale(acc, c))
+    return want
+
+
 def test_shuffle_letters_matches_pairwise_fold():
     # signed coefficients and words of mixed lengths sharing prefixes
     rng = random.Random(7)
@@ -401,18 +412,50 @@ def test_shuffle_letters_matches_pairwise_fold():
             for _ in range(rng.randint(1, 5)):
                 w = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 5)))
                 terms[w] = LaurentPoly.term(rng.choice((-2, -1, 1, 3)), rng.randint(-3, 3))
-            want = {}
-            for w, c in terms.items():
-                acc = {(): LaurentPoly.one()}
-                for letter in w:
-                    acc = shuffle(acc, sh_word((letter,)), rs)
-                want = sh_add(want, sh_scale(acc, c))
-            assert sh_eq(shuffle_letters(terms, rs), want), terms
+            assert sh_eq(shuffle_letters(terms, rs), pairwise_fold(terms, rs)), terms
     # 1 o 2 - q (2 o 1) = (1 - q^2) 12 in A2: the word 21 cancels, zeros drop
     rs = RootSystem(CartanType("A", 2))
     terms = {(1, 2): LaurentPoly.one(), (2, 1): LaurentPoly.term(-1, 1),
              (1, 1): LaurentPoly.zero()}
     assert shuffle_letters(terms, rs) == {(1, 2): LaurentPoly({0: 1, 2: -1})}
+
+
+def test_shuffle_letters_packs_wide_repeated_and_mixed_terms():
+    # one call over words of several weights and lengths, each with a
+    # repeated letter, whose insertions after a copy of itself cost negative
+    # powers of q (right shifts of the packed coefficient); coefficients past
+    # 2^64 at several exponents, and a zero coefficient that adds nothing
+    rng = random.Random(23)
+    for fam, rank in [("A", 1), ("A", 3), ("B", 3), ("G", 2)]:
+        rs = RootSystem(CartanType(fam, rank))
+        for _ in range(6):
+            terms = {}
+            for _ in range(rng.randint(2, 5)):
+                w = [rng.randint(1, rank) for _ in range(rng.randint(0, 4))]
+                w.insert(rng.randint(0, len(w)), rng.choice(w or [1]))
+                terms[tuple(w)] = LaurentPoly({
+                    rng.randint(-4, 4): rng.choice((-1, 1)) * rng.randint(1, 2 ** 70)
+                    for _ in range(rng.randint(1, 3))})
+            terms[(rank,) * 6] = LaurentPoly.zero()
+            got = shuffle_letters(terms, rs)
+            want = pairwise_fold(terms, rs)
+            assert isinstance(got, Packed) and got.width > 64
+            assert sh_eq(got, want), (fam, terms)
+            assert all(got.values())
+            assert sh_dim(got) == sum(want.values(), LaurentPoly.zero())
+    # only zero coefficients: nothing to shuffle
+    assert shuffle_letters({(1, 2): LaurentPoly.zero()}, rs) == {}
+
+
+def test_shuffle_letters_width_holds_its_bound():
+    # 1 and 3 commute in A3, so 1 o 3 = 13 + 31 and each of the two words
+    # gets both terms: |c|_1 2! per term is attained by the graded dimension
+    rs = RootSystem(CartanType("A", 3))
+    for k in (8, 16, 32, 64, 128):
+        c = 2 ** (k - 3)
+        got = shuffle_letters({(1, 3): LaurentPoly.term(c), (3, 1): LaurentPoly.term(c)}, rs)
+        assert got == {(1, 3): LaurentPoly.term(2 * c), (3, 1): LaurentPoly.term(2 * c)}
+        assert sh_dim(got) == LaurentPoly.term(4 * c)
 
 
 # derandomized, with no example database, so every run draws the same examples

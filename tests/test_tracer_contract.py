@@ -57,7 +57,8 @@ def test_wrapped_names_stay_on_their_call_paths(tracer):
         assert t.calls["shuffle.shuffle"] == 0
         pbw.proper_standard(((0, 1, 0), (1, 0, 0)))
         # the correction runs on coefficient vectors and assembles each
-        # character in raw exponent dicts, without sh_add or sh_scale
+        # character from packed ints in shuffle.sh_sub_scaled, without
+        # sh_add or sh_scale
         calls = dict(t.calls)
         canonical.CanonicalTable(lyndon_order(RootSystem(CartanType("A", 2)))
                                  ).compute_weight((1, 1))
