@@ -21,12 +21,12 @@ from .cartan import CartanType, RootSystem
 from .convex import (ConvexOrder, good_lyndon_words, lyndon_order,
                      order_from_reduced_word)
 from .klr import KLR
-from .kostant import kostant_partitions, kp_scalars
+from .kostant import kostant_partitions, kp_scalars, sum_weight
 from .laurent import LaurentPoly, factor_quantum, series
 from .modules import MR_BOUND, ProperStandard, check_characteristic, rank_over
 from .pbw import PBWCharacters, dim_formula
 from .resolutions import euler_matches, resolution, verify_complex
-from .shuffle import parse_word, render_word, sh_to_json
+from .shuffle import parse_word, render_word, sh_to_json, word_weight
 from . import verify as verify_mod
 
 
@@ -281,6 +281,12 @@ def cmd_gram(args, rs: RootSystem) -> int:
         order = _build_order(args, rs)
         engine = KLR(rs, _parse_eps(args.eps, rs))
         M = ProperStandard(engine, order, lam)
+        have, want = word_weight(word, rs), sum_weight(lam, rs)
+        if have != want:
+            # the slice is zero, so the document (the empty matrix) is right;
+            # the side channel names the mismatch a user most likely made
+            print(f"--word {args.word!r} has weight {have}, not the weight {want} "
+                  f"of --parts, so its slice is zero", file=sys.stderr)
         G = M.gram_matrix(word, degree)
     doc = {
         "lambda": [list(p) for p in lam],

@@ -33,13 +33,6 @@ def perm_id(n: int) -> Perm:
     return tuple(range(n))
 
 
-def perm_inv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for k, v in enumerate(a):
-        out[v] = k
-    return tuple(out)
-
-
 def perm_len(a: Perm) -> int:
     n = len(a)
     return sum(1 for j in range(n) for k in range(j + 1, n) if a[j] > a[k])
@@ -47,7 +40,9 @@ def perm_len(a: Perm) -> int:
 
 def swap_values(w: Perm, k: int) -> Perm:
     """Left multiplication s_k * w (swap the values k, k+1)."""
-    return tuple(k + 1 if v == k else k if v == k + 1 else v for v in w)
+    out = list(w)
+    out[w.index(k)], out[w.index(k + 1)] = k + 1, k
+    return tuple(out)
 
 
 def perm_of_word(seq, n: int) -> Perm:
@@ -243,8 +238,7 @@ class KLR:
         hit = self._ttp.get(key)
         if hit is not None:
             return hit
-        invw = perm_inv(w)
-        if invw[k] < invw[k + 1]:
+        if w.index(k) < w.index(k + 1):
             # ascent
             u = swap_values(w, k)
             cu = canon_word(u)

@@ -9,7 +9,9 @@ as zero on homogeneous cuspidal representations).
 
 The form is computed by the projection recipe: apply the transposed
 generator word, read off the coefficient of the distinguished block
-involution x, and permute tensor slots by y.  Each module keeps the image
+involution x, and permute tensor slots by y.  The form is symmetric, so a
+Gram matrix on one slice pairs each unordered pair of basis vectors once
+and mirrors the value.  Each module keeps the image
 of every generator on every basis vector it has met, for its whole life,
 so Gram matrices and actions on one module straighten each image once.
 """
@@ -333,9 +335,21 @@ class ProperStandard:
         return self.pair_cyclicward(vec, w2)
 
     def gram_matrix(self, word: Word, degree: int = 0):
+        """The form between the degree and -degree slices of a word space.
+
+        At degree 0 both are one slice and the symmetric form pairs each
+        unordered pair once: the later vector's transposed word acts on the
+        earlier one, and the value fills both entries.
+        """
         rows = self.slice_basis(word, degree)
-        cols = rows if degree == 0 else self.slice_basis(word, -degree)
-        return [[self.pair_basis(r, c) for c in cols] for r in rows]
+        if degree:
+            cols = self.slice_basis(word, -degree)
+            return [[self.pair_basis(r, c) for c in cols] for r in rows]
+        G = [[0] * len(rows) for _ in rows]
+        for a, r in enumerate(rows):
+            for b in range(a, len(rows)):
+                G[a][b] = G[b][a] = self.pair_basis(r, rows[b])
+        return G
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every

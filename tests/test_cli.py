@@ -140,6 +140,29 @@ def test_gram_word_outside_the_nodes_is_named(capsys, rank, parts, word):
     assert json.loads(out) == {"error": want}
 
 
+@pytest.mark.parametrize("word,weight", [("12", (1, 1, 0)), ("112", (2, 1, 0))])
+def test_gram_word_of_another_weight_is_named(capsys, word, weight):
+    # a word of another weight has a zero slice: stdout is the empty matrix,
+    # as for the pinned 2311 example, and stderr names the mismatch
+    code, out, err = run_cli(capsys, "gram", "--type", "A", "--rank", "3",
+                             "--parts", "1,1,1", "--word", word)
+    assert code == 0
+    assert json.loads(out)["matrix"] == []
+    want = (f"--word {word!r} has weight {weight}, not the weight (1, 1, 1) "
+            f"of --parts, so its slice is zero")
+    assert err.splitlines()[0] == want
+
+
+def test_python_m_klrchar_runs_the_cli(capsys):
+    code, want, _ = run_cli(capsys, "roots", "--type", "A", "--rank", "2")
+    # the source tree alone, as a checkout runs it without an install
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(klrchar.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "klrchar", "roots", "--type", "A",
+                           "--rank", "2"], capture_output=True, text=True, env=env)
+    assert code == proc.returncode == 0
+    assert proc.stdout == want
+
+
 def test_kp_with_unfactorable_kappa_finishes(capsys):
     # kappa of the partition into fourteen a1+a2 is [14]!, which has no
     # factorization into [n]_d with n <= 12; the search rejects it at once

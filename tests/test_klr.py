@@ -5,8 +5,16 @@ import pytest
 
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.klr import (KLR, apply_perm_word, canon_word, elem_add,
-                         elem_scale, perm_id, perm_inv, perm_len,
-                         perm_of_word, swap_values)
+                         elem_scale, perm_id, perm_len, perm_of_word,
+                         swap_values)
+
+
+def perm_inv(a):
+    """The inverse permutation: position k of the value v is inv[v] = k."""
+    out = [0] * len(a)
+    for k, v in enumerate(a):
+        out[v] = k
+    return tuple(out)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +29,14 @@ def test_perm_helpers():
     assert tuple(w[k] for k in perm_inv(w)) == perm_id(3)
     assert perm_len(w) == 2
     assert apply_perm_word(w, (7, 8, 9)) == (9, 7, 8)
+
+
+def test_swap_values_is_left_multiplication():
+    for n in range(2, 6):
+        for k in range(n - 1):
+            s = perm_of_word((k,), n)
+            for w in permutations(range(n)):
+                assert swap_values(w, k) == tuple(s[v] for v in w)
 
 
 def test_canon_word_is_reduced_and_correct():

@@ -1,16 +1,18 @@
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
-from klrchar.convex import lyndon_order
+from klrchar.convex import lyndon_order, order_from_reduced_word, random_reduced_word
 from klrchar.klr import KLR, apply_perm_word, canon_word, perm_of_word
+from klrchar.kostant import kostant_partitions
 from klrchar.laurent import LaurentPoly
 from klrchar.modules import (MR_BOUND, HomogRep, NotHomogeneousError,
-                             ProperStandard, check_characteristic, rank_over)
+                             ProperStandard, UnsupportedPartitionError,
+                             check_characteristic, rank_over)
 from klrchar.pbw import PBWCharacters
 
 
@@ -90,13 +92,67 @@ def test_slice_dims_match_character():
                 assert degs == coeff.c, (lam, word)
 
 
+# (family, rank, largest height of a weight) swept by the symmetry test
+SYMMETRY_SWEEP = [("A", 3, 4), ("A", 4, 4), ("B", 3, 4), ("C", 3, 4), ("D", 4, 4),
+                  ("G", 2, 6)]
+
+
+def symmetry_sweep_modules():
+    """Each supported Kostant partition of each weight up to the height, as a
+    module with its character, under the Lyndon order and a seeded random
+    one, with the default and seeded random signs."""
+    for fam, rank, height in SYMMETRY_SWEEP:
+        rs = RootSystem(CartanType(fam, rank))
+        rng = random.Random(7)
+        edges = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)
+                 if rs.cartan[i - 1][j - 1] < 0]
+        weights = [a for a in product(range(4), repeat=rank) if 2 <= sum(a) <= height]
+        for o in (lyndon_order(rs),
+                  order_from_reduced_word(random_reduced_word(rs, rng), rs)):
+            pbw = PBWCharacters(o)
+            for eps in (None, {e: rng.choice((1, -1)) for e in edges}):
+                H = KLR(rs, eps)
+                for alpha in weights:
+                    for lam in kostant_partitions(alpha, o):
+                        try:
+                            M = ProperStandard(H, o, lam, pbw)
+                        except UnsupportedPartitionError:
+                            continue
+                        yield M, pbw.proper_standard(lam)
+
+
 def test_gram_symmetric_small():
+    # gram_matrix pairs each unordered pair of a degree-0 slice once and
+    # mirrors it, so the symmetry it relies on is checked through
+    # pair_basis in both orders
+    pairs = transposes = 0
+    for M, ch in symmetry_sweep_modules():
+        for word in ch:
+            for d in (0, 2, -2):
+                rows, cols = M.slice_basis(word, d), M.slice_basis(word, -d)
+                for r in rows:
+                    for c in cols:
+                        assert M.pair_basis(r, c) == M.pair_basis(c, r), \
+                            (M.rs.cartan_type, M.order.roots, M.engine.eps, M.lam, r, c)
+                        pairs += 1
+                if d and rows and cols:
+                    G = M.gram_matrix(word, d)
+                    assert M.gram_matrix(word, -d) == [list(t) for t in zip(*G)]
+                    transposes += 1
+    assert pairs > 5000 and transposes > 1000, (pairs, transposes)
+
+
+def test_off_degree_gram_is_not_mirrored():
+    # at degree != 0 the rows and columns are two slices, so even a square
+    # matrix between them need not be symmetric: here it is a 3-cycle
     rs, o, H, pbw = setup_module_env("A", 3)
-    lam = ((0, 1, 1), (1, 0, 0))
-    M = ProperStandard(H, o, lam, pbw)
-    for word in pbw.proper_standard(lam):
-        G = M.gram_matrix(word, 0)
-        assert G == [list(r) for r in zip(*G)]
+    M = ProperStandard(H, o, ((0, 0, 1),) * 3 + ((0, 1, 0),) * 2, pbw)
+    word = (3, 3, 3, 2, 2)
+    rows, cols = M.slice_basis(word, 2), M.slice_basis(word, -2)
+    G = M.gram_matrix(word, 2)
+    assert G == [[M.pair_basis(r, c) for c in cols] for r in rows]
+    assert G == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    assert M.gram_matrix(word, -2) == [list(t) for t in zip(*G)]
 
 
 def test_equal_parts_x_and_y():
