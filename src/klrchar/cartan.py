@@ -87,8 +87,6 @@ class RootSystem:
         self.root_set = frozenset(self._roots)
         self.positive_set = frozenset(pos)
         self._positive = {b: b for b in pos}  # one stored tuple per root
-        # p_max searches p in [-p_bound, p_bound]: twice the highest height
-        self.p_bound = 2 * sum(pos[-1])
         self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
         # memos of shuffle.py and pbw.py, shared by every ordering of this system
         self._shuffle_pair_cache: dict = {}  # word pair -> its shuffle
@@ -168,12 +166,15 @@ class RootSystem:
 
 
 def p_max(rs: RootSystem, beta: Root, gamma: Root) -> int:
-    """Largest p with beta - p*gamma a root (tested in the full root system)."""
-    hi = rs.p_bound
-    for p in range(hi, -hi - 1, -1):
-        if tuple(beta[k] - p * gamma[k] for k in range(rs.rank)) in rs.root_set:
+    """Largest p with beta - p*gamma a root (tested in the full root system).
+
+    For roots beta and gamma, p = 0 always qualifies, and a root string
+    holds at most 4 roots, so p is at most 3.
+    """
+    for p in range(3, -1, -1):
+        if tuple([b - p * g for b, g in zip(beta, gamma)]) in rs.root_set:
             return p
-    raise ValueError("beta - p*gamma never lands in R")
+    raise ValueError(f"{beta} is not a root")
 
 
 def check_cases_identity(rs: RootSystem, alpha: Root, beta: Root, gamma: Root) -> bool:

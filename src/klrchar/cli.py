@@ -37,6 +37,8 @@ def _parse_weight(text: str, rank: int):
         parts = ()
     if len(parts) != rank:
         raise ValueError(f"--alpha needs {rank} comma-separated coefficients")
+    if min(parts) < 0:
+        raise ValueError(f"--alpha needs non-negative coefficients, not {text}")
     return parts
 
 

@@ -2,8 +2,10 @@
 
 A shuffle element is a sparse mapping word -> LaurentPoly.  The product of
 two words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts
-crossing pairs weighted by minus the form on the letters.  Single word-pair
-products are enumerated depth first from an explicit stack.
+crossing pairs weighted by minus the form on the letters.  A single
+word-pair product (`_pair_shuffle`) places the letters of the shorter word
+among those of the longer one, depth first over their slots; a single
+letter is moved through the longer word one slot at a time.
 
 Every coefficient here but in `_pair_shuffle`'s output is packed (`Packed`):
 a word's Laurent polynomial sum a_e q^e is the one integer
@@ -54,6 +56,7 @@ import sys
 from array import array
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from .cartan import RootSystem
@@ -83,32 +86,78 @@ def deg_stat(w_perm: tuple[int, ...], word: Word, rs: RootSystem) -> int:
 
 
 def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
-    """Shuffle of two single words; exponents as raw dicts."""
+    """Shuffle of two single words: {word: {exponent: interleavings}}.
+
+    The letters of the shorter word are placed among those of the longer
+    one, depth first over their slots a_0 <= a_1 <= ..., a_t the number of
+    letters of the longer word in front of letter t, so the depth is
+    min(m, n) and each word is built from slices of the longer one.  A
+    single letter, as in every product of the E8 Lyndon solves, is moved
+    through the longer word one slot at a time instead, each word one list
+    edit from the last.  Words and exponents come in the order of the
+    interleavings taking i[a] before j[b]: that order places i's letters at
+    ascending slots, and j's at descending ones.
+    """
     B = rs.bilinear_matrix
-    m, n = len(i), len(j)
-    # crossing cost of pulling j[b] in front of the rest of i starting at a
-    suffix_cost = [[0] * n for _ in range(m + 1)]
-    for b in range(n):
-        jb = j[b] - 1
-        acc = 0
-        for a in range(m - 1, -1, -1):
-            acc -= B[i[a] - 1][jb]
-            suffix_cost[a][b] = acc
+    ascending = len(i) <= len(j)
+    short, long = (i, j) if ascending else (j, i)
+    k, n = len(short), len(long)
+    if not k:
+        return {long: {0: 1}}
+    # cost[t][a]: minus the form of letter t at slot a with the letters it
+    # crosses, those of j in front of a letter of i: a letter of i at slot a
+    # follows j[:a], and a letter of j at slot a precedes i[a:]
+    if ascending:
+        cost = [list(accumulate([-B[x - 1][y - 1] for y in long], initial=0))
+                for x in short]
+    else:
+        cost = [list(accumulate([-B[x - 1][y - 1] for y in reversed(long)], initial=0))[::-1]
+                for x in short]
     out: dict[Word, dict[int, int]] = {}
-    # depth first, the branch taking i[a] before the one taking j[b]
-    stack = [(0, 0, (), 0)]
-    while stack:
-        a, b, prefix, exp = stack.pop()
-        if a == m or b == n:
-            word = prefix + i[a:] + j[b:]
-            d = out.get(word)
-            if d is None:
-                out[word] = {exp: 1}
+    if k == 1:
+        # moving the one letter y a slot on swaps it with the letter x it
+        # passes, and keeps the word where x == y: no two other slots give
+        # the same word, so no word is looked up
+        y, c = short[0], cost[0]
+        word = [y, *long] if ascending else [*long, y]
+        d = out[tuple(word)] = {c[0 if ascending else n]: 1}
+        for a in range(n) if ascending else range(n - 1, -1, -1):
+            x, s = long[a], a + 1 if ascending else a
+            if x == y:
+                d[c[s]] = 1
             else:
-                d[exp] = d.get(exp, 0) + 1
-            continue
-        stack.append((a, b + 1, prefix + (j[b],), exp + suffix_cost[a][b]))
-        stack.append((a + 1, b, prefix + (i[a],), exp))
+                word[s], word[2 * a + 1 - s] = y, x
+                d = out[tuple(word)] = {c[s]: 1}
+        return out
+
+    def slots(lo: int):
+        return range(lo, n + 1) if ascending else range(n, lo - 1, -1)
+
+    # leaves[lo]: for each slot a >= lo of the last letter z, the tail
+    # long[lo:a] + (z,) + long[a:] and its exponent; built when first met
+    leaves: list = [None] * (n + 1)
+    get = out.get
+
+    def place(t: int, lo: int, prefix: Word, exp: int) -> None:
+        if t == k - 1:
+            tails = leaves[lo]
+            if tails is None:
+                z, c = short[-1:], cost[-1]
+                tails = leaves[lo] = [(long[lo:a] + z + long[a:], c[a]) for a in slots(lo)]
+            for tail, e in tails:
+                word = prefix + tail
+                d = get(word)
+                if d is None:
+                    out[word] = {exp + e: 1}
+                else:
+                    e += exp
+                    d[e] = d.get(e, 0) + 1
+            return
+        z, c = short[t:t + 1], cost[t]
+        for a in slots(lo):
+            place(t + 1, a, prefix + long[lo:a] + z, exp + c[a])
+
+    place(0, 0, (), 0)
     return out
 
 
@@ -316,7 +365,14 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     By the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), an interleaving with
     exponent e in u o v has exponent -(|u|,|v|) - e in v o u, so each pair
     (u, v) is enumerated once for both products: the twisted half is the
-    packed bar of the pair product.
+    packed bar of the pair product.  An interleaving of exponent e then adds
+    q^e - q^(t - e) at its word, t = s - (|u|,|v|); packed, that is D[e]
+    of a row D built once per pair of weights, and a word's coefficient in
+    the pair is the sum of n D[e] over its exponents e of n interleavings,
+    one plain loop.  Most words of a rank-two solve cancel inside their
+    pair, their exponents symmetric about t / 2; a word whose sum is 0 is
+    never added.  Only the whole sum decides: an interleaving at the centre
+    e = t / 2 adds 0, and its word's other interleavings may not.
     """
     B = rs.bilinear_matrix
     twist = s is not None
@@ -341,10 +397,15 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     lift = {k: pos + (max(0, -s) if twist else 0) for k, (pos, _, _) in forms.items()}
     top = max(lift.values())
     if twist:
-        # X^i for every slot either half reaches: e + top <= neg + top, and
-        # t - e + top <= s + neg + top
-        X = [1 << width * i
-             for i in range(top + max(0, s) + max(f[1] for f in forms.values()) + 1)]
+        # per pair of weights, D[e] = X^(e + top) - X^(t - e + top), X = 2^width:
+        # the twisted exponent is t - e, t = s - (|u|,|v|), and both slots
+        # are non-negative; D[e] is 0 at the centre e = t / 2.  A negative e
+        # indexes D from its end
+        rows = {}
+        for key, (pos, neg, _) in forms.items():
+            t = s - pos + neg
+            rows[key] = [(1 << width * (e + top)) - (1 << width * (t - e + top))
+                         for e in [*range(neg + 1), *range(-pos, 0)]]
     acc: dict[Word, int] = {}
     get = acc.get
     for u, A in pa.ints.items():
@@ -352,13 +413,15 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
             AB = A * Bv
             key = ka[u], kb[v]
             if twist:
-                pos, neg, _ = forms[key]
-                # the twisted exponent is t - e, t = s - (|u|,|v|), at slot
-                # t - e + top
-                t = s - pos + neg + top
+                D = rows[key]
                 for word, exps in _pair_shuffle(u, v, rs).items():
-                    T = sum(n * (X[e + top] - X[t - e]) for e, n in exps.items())
-                    acc[word] = get(word, 0) + T * AB
+                    T = 0
+                    for e, n in exps.items():
+                        T += n * D[e]
+                    # a word that cancels inside its pair stays out of acc;
+                    # only its whole sum decides
+                    if T:
+                        acc[word] = get(word, 0) + T * AB
             else:
                 gap = top - lift[key]
                 if gap:

@@ -95,12 +95,23 @@ def scan_p_max(rs, beta, gamma):
 
 @pytest.mark.parametrize("family,rank", [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
-    ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)])
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("F", 4), ("G", 2)])
 def test_p_max_matches_full_scan(family, rank):
+    # p_max tries p = 3, ..., 0 only
     rs = RootSystem(CartanType(family, rank))
     for beta in rs.positive_roots:
         for gamma in rs.positive_roots:
             assert p_max(rs, beta, gamma) == scan_p_max(rs, beta, gamma), (beta, gamma)
+
+
+def test_p_max_matches_full_scan_on_e8_decompositions():
+    # every pair of positive roots of E8 takes seconds to scan; these are
+    # the pairs the solves and the scale factors ask for
+    rs = RootSystem(CartanType("E", 8))
+    pairs = [bg for alpha in rs.positive_roots for bg in rs.decompositions(alpha)]
+    assert len(pairs) > 1000
+    for beta, gamma in pairs:
+        assert p_max(rs, beta, gamma) == scan_p_max(rs, beta, gamma), (beta, gamma)
 
 
 def test_root_string_contiguous():

@@ -270,6 +270,17 @@ def test_unparsable_alpha_names_the_option(capsys, command):
     assert json.loads(out) == {"error": "--alpha needs 2 comma-separated coefficients"}
 
 
+@pytest.mark.parametrize("command", ["kp", "canonical", "dim-check"])
+@pytest.mark.parametrize("alpha", ["-1,2", "-1,1", "1,-1"])
+def test_negative_alpha_is_refused(capsys, command, alpha):
+    # not a weight: dim-check used to report a formula mismatch, and kp and
+    # canonical printed empty documents with exit status 0
+    code, out, _ = run_cli(capsys, command, "--type", "A", "--rank", "2",
+                           f"--alpha={alpha}")
+    assert code == 1
+    assert json.loads(out) == {"error": f"--alpha needs non-negative coefficients, not {alpha}"}
+
+
 def test_bad_rank(capsys):
     code, out, _ = run_cli(capsys, "roots", "--type", "D", "--rank", "2")
     assert code == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import klrchar.shuffle as sh
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.cartan import p_max
 from klrchar.convex import lyndon_order, minimal_pairs
@@ -241,6 +242,87 @@ def test_q_commutator_g2_root_identities():
             assert sh_eq(lhs, rhs), (alpha, beta, gamma)
             checked += 1
     assert checked >= 4
+
+
+# -- the pair kernel: its words, exponents and their order ---------------------------
+
+def dfs_pair_shuffle(i, j, rs):
+    """The order oracle: a letter-by-letter depth first search, the branch
+    taking i[a] before the one taking j[b], from an explicit stack."""
+    B = rs.bilinear_matrix
+    m, n = len(i), len(j)
+    # crossing cost of pulling j[b] in front of the rest of i starting at a
+    suffix_cost = [[0] * n for _ in range(m + 1)]
+    for b in range(n):
+        acc = 0
+        for a in range(m - 1, -1, -1):
+            acc -= B[i[a] - 1][j[b] - 1]
+            suffix_cost[a][b] = acc
+    out = {}
+    stack = [(0, 0, (), 0)]
+    while stack:
+        a, b, prefix, exp = stack.pop()
+        if a == m or b == n:
+            d = out.setdefault(prefix + i[a:] + j[b:], {})
+            d[exp] = d.get(exp, 0) + 1
+            continue
+        stack.append((a, b + 1, prefix + (j[b],), exp + suffix_cost[a][b]))
+        stack.append((a + 1, b, prefix + (i[a],), exp))
+    return out
+
+
+def _ordered(pairs):
+    """A {word: {exp: count}} as nested lists, so == compares insertion order."""
+    return [(w, list(d.items())) for w, d in pairs.items()]
+
+
+KERNEL_TYPES = [("A", 3), ("B", 3), ("D", 4), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("fam,rank", KERNEL_TYPES)
+def test_pair_shuffle_matches_brute_force(fam, rank):
+    rs = RootSystem(CartanType(fam, rank))
+    rng = random.Random(41)
+    for m in range(6):
+        for n in range(6 - m):
+            i = tuple(rng.randint(1, rank) for _ in range(m))
+            j = tuple(rng.randint(1, rank) for _ in range(n))
+            got = {w: LaurentPoly(d) for w, d in sh._pair_shuffle(i, j, rs).items()}
+            assert got == brute_shuffle(i, j, rs), (i, j)
+
+
+@pytest.mark.parametrize("fam,rank", KERNEL_TYPES)
+def test_pair_shuffle_keeps_the_letter_by_letter_order(fam, rank):
+    # lengths 0-6 on either side, so m < n, m = n and m > n all occur; small
+    # alphabets repeat letters, so words recur within a pair
+    rs = RootSystem(CartanType(fam, rank))
+    rng = random.Random(43)
+    for m in range(7):
+        for n in range(7):
+            for letters in (2, rank):
+                i = tuple(rng.randint(1, letters) for _ in range(m))
+                j = tuple(rng.randint(1, letters) for _ in range(n))
+                assert (_ordered(sh._pair_shuffle(i, j, rs))
+                        == _ordered(dfs_pair_shuffle(i, j, rs))), (i, j)
+
+
+def test_q_commutator_keeps_a_word_with_one_interleaving_at_the_centre():
+    # 1 o 1 = (1 + q^-2) 11 in A2; with s = 2 the twisted exponent of e is
+    # s - (a_1, a_1) - e = -e, so the interleaving at e = 0 cancels against
+    # itself, and the one at e = -2 leaves q^-2 - q^2: the word must stay
+    rs = RootSystem(CartanType("A", 2))
+    assert _ordered(sh._pair_shuffle((1,), (1,), rs)) == [((1, 1), [(0, 1), (-2, 1)])]
+    got = q_commutator(sh_word((1,)), sh_word((1,)), 2, rs)
+    assert got == {(1, 1): LaurentPoly({-2: 1, 2: -1})}
+    # 121 o 1, (121, 1) = 3, s = 3: the centre is again e = 0, met first in 1211
+    assert _ordered(sh._pair_shuffle((1, 2, 1), (1,), rs)) == [
+        ((1, 2, 1, 1), [(0, 1), (-2, 1)]), ((1, 1, 2, 1), [(-1, 1), (-3, 1)])]
+    a, b = sh_word((1, 2, 1)), sh_word((1,))
+    got = q_commutator(a, b, 3, rs)
+    assert got == {(1, 2, 1, 1): LaurentPoly({-2: 1, 2: -1}),
+                   (1, 1, 2, 1): LaurentPoly({-3: 1, -1: 1, 1: -1, 3: -1})}
+    assert sh_eq(got, sh_sub(shuffle(a, b, rs),
+                             sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, 3))))
 
 
 # -- the packed kernel against the brute-force oracle -------------------------------
