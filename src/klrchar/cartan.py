@@ -168,8 +168,10 @@ class RootSystem:
 def p_max(rs: RootSystem, beta: Root, gamma: Root) -> int:
     """Largest p with beta - p*gamma a root (tested in the full root system).
 
-    For roots beta and gamma, p = 0 always qualifies, and a root string
-    holds at most 4 roots, so p is at most 3.
+    beta and gamma must be roots: then p = 0 always qualifies, and a root
+    string holds at most 4 roots, so only p = 3, ..., 0 are tried.  Where no
+    such p qualifies, beta is not a root and ValueError is raised, even if
+    beta - p*gamma is a root for some negative p.
     """
     for p in range(3, -1, -1):
         if tuple([b - p * g for b, g in zip(beta, gamma)]) in rs.root_set:

@@ -4,8 +4,8 @@ A shuffle element is a sparse mapping word -> LaurentPoly.  The product of
 two words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts
 crossing pairs weighted by minus the form on the letters.  A single
 word-pair product (`_pair_shuffle`) places the letters of the shorter word
-among those of the longer one, depth first over their slots; a single
-letter is moved through the longer word one slot at a time.
+among those of the longer one, editing one list from each placement to
+the next.
 
 Every coefficient here but in `_pair_shuffle`'s output is packed (`Packed`):
 a word's Laurent polynomial sum a_e q^e is the one integer
@@ -89,14 +89,13 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
     """Shuffle of two single words: {word: {exponent: interleavings}}.
 
     The letters of the shorter word are placed among those of the longer
-    one, depth first over their slots a_0 <= a_1 <= ..., a_t the number of
-    letters of the longer word in front of letter t, so the depth is
-    min(m, n) and each word is built from slices of the longer one.  A
-    single letter, as in every product of the E8 Lyndon solves, is moved
-    through the longer word one slot at a time instead, each word one list
-    edit from the last.  Words and exponents come in the order of the
-    interleavings taking i[a] before j[b]: that order places i's letters at
-    ascending slots, and j's at descending ones.
+    one at slots a_0 <= a_1 <= ..., a_t the number of letters of the longer
+    word in front of letter t, in the order of the interleavings taking i[a]
+    before j[b]: lexicographic over the slots, ascending for letters of i
+    and descending for letters of j.  The word is one list: the next slots
+    mostly move the last letter one slot on, a swap with the letter it
+    passes (none where the two are equal, as the word stays), and otherwise
+    move an earlier letter on and rewrite the word's tail from slices.
     """
     B = rs.bilinear_matrix
     ascending = len(i) <= len(j)
@@ -113,52 +112,58 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
     else:
         cost = [list(accumulate([-B[x - 1][y - 1] for y in reversed(long)], initial=0))[::-1]
                 for x in short]
+    # slot[t] for the letters but the last, whose slot is s; part[t] is the
+    # exponent of the letters in front of t; the last letter stops at `stop`
+    step, last, y, c = (1 if ascending else -1), k - 1, short[-1], cost[-1]
+    slot = [0 if ascending else n] * last
+    part = list(accumulate([cost[t][slot[t]] for t in range(last)], initial=0))
+    s = 0 if ascending else n
+    stop = n if ascending else slot[-1] if last else 0
+    word = [*short, *long] if ascending else [*long, *short]
     out: dict[Word, dict[int, int]] = {}
-    if k == 1:
-        # moving the one letter y a slot on swaps it with the letter x it
-        # passes, and keeps the word where x == y: no two other slots give
-        # the same word, so no word is looked up
-        y, c = short[0], cost[0]
-        word = [y, *long] if ascending else [*long, y]
-        d = out[tuple(word)] = {c[0 if ascending else n]: 1}
-        for a in range(n) if ascending else range(n - 1, -1, -1):
-            x, s = long[a], a + 1 if ascending else a
-            if x == y:
-                d[c[s]] = 1
-            else:
-                word[s], word[2 * a + 1 - s] = y, x
-                d = out[tuple(word)] = {c[s]: 1}
-        return out
-
-    def slots(lo: int):
-        return range(lo, n + 1) if ascending else range(n, lo - 1, -1)
-
-    # leaves[lo]: for each slot a >= lo of the last letter z, the tail
-    # long[lo:a] + (z,) + long[a:] and its exponent; built when first met
-    leaves: list = [None] * (n + 1)
     get = out.get
-
-    def place(t: int, lo: int, prefix: Word, exp: int) -> None:
-        if t == k - 1:
-            tails = leaves[lo]
-            if tails is None:
-                z, c = short[-1:], cost[-1]
-                tails = leaves[lo] = [(long[lo:a] + z + long[a:], c[a]) for a in slots(lo)]
-            for tail, e in tails:
-                word = prefix + tail
-                d = get(word)
-                if d is None:
-                    out[word] = {exp + e: 1}
-                else:
-                    e += exp
-                    d[e] = d.get(e, 0) + 1
-            return
-        z, c = short[t:t + 1], cost[t]
-        for a in slots(lo):
-            place(t + 1, a, prefix + long[lo:a] + z, exp + c[a])
-
-    place(0, 0, (), 0)
-    return out
+    d = out[tuple(word)] = {part[last] + c[s]: 1}
+    while True:
+        if s != stop:
+            # the last letter passes the letter x of the longer word
+            p = s + last
+            x = word[p + step]
+            s += step
+            e = part[last] + c[s]
+            if x == y:
+                d[e] = d.get(e, 0) + 1
+                continue
+            word[p], word[p + step] = x, y
+        else:
+            # the rightmost earlier letter that can move on does; the letters
+            # after it restart at their first slot
+            t = last - 1
+            if ascending:
+                while t >= 0 and slot[t] == n:
+                    t -= 1
+            else:
+                while t >= 0 and slot[t] == (slot[t - 1] if t else 0):
+                    t -= 1
+            if t < 0:
+                return out
+            a = slot[t] + step
+            if ascending:
+                word[a + t - 1:] = long[a - 1:a] + short[t:] + long[a:]
+                slot[t:] = [a] * (last - t)
+                s = a
+            else:
+                word[a + t:] = short[t:t + 1] + long[a:] + short[t + 1:]
+                slot[t:] = [a] + [n] * (last - t - 1)
+                s, stop = n, slot[-1]
+            for r in range(t, last):
+                part[r + 1] = part[r] + cost[r][slot[r]]
+            e = part[last] + c[s]
+        w = tuple(word)
+        d = get(w)
+        if d is None:
+            d = out[w] = {e: 1}
+        else:
+            d[e] = d.get(e, 0) + 1
 
 
 def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem, width: int,

@@ -85,6 +85,15 @@ def test_p_max_equal_roots():
     assert p_max(rs, (1, 0), (1, 0)) == 2
 
 
+def test_p_max_refuses_a_beta_that_is_not_a_root():
+    # (-1, 1) is no root of A2, but (-1, 1) + (1, 0) is: a scan over
+    # negative p would answer -1
+    rs = RootSystem(CartanType("A", 2))
+    assert (0, 1) in rs.root_set and (-1, 1) not in rs.root_set
+    with pytest.raises(ValueError, match="not a root"):
+        p_max(rs, (-1, 1), (1, 0))
+
+
 def scan_p_max(rs, beta, gamma):
     """p_max as a scan of every p within twice the highest height."""
     hi = 2 * max(sum(abs(c) for c in b) for b in rs.positive_roots)
