@@ -109,8 +109,7 @@ class RootSystem:
         return tuple(tuple(row) for row in C)
 
     def _generate_roots(self) -> set[Root]:
-        simples = [tuple(1 if j == i else 0 for j in range(self.rank))
-                   for i in range(self.rank)]
+        simples = [self.simple_root(i) for i in range(self.rank)]
         roots = set(simples)
         frontier = list(simples)
         while frontier:

@@ -338,7 +338,6 @@ def cmd_verify_all(args, rs=None) -> int:
     workers = _worker_count(args.jobs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(verify_mod.run_check, seed=args.seed),

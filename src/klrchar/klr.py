@@ -378,7 +378,7 @@ def _demazure(a, k: int) -> list[tuple[int, tuple]]:
     return out
 
 
-def klr_to_json(elem: Element, klr: KLR) -> list[dict]:
+def klr_to_json(elem: Element) -> list[dict]:
     items = []
     for (i, w, a) in sorted(elem):
         items.append({

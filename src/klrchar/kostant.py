@@ -8,6 +8,8 @@ kappa_lambda and the word i_lambda feed the dual canonical basis algorithm.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .cartan import Root, RootSystem, p_max
 from .convex import ConvexOrder, Word, mp_choice
 from .laurent import LaurentPoly
@@ -91,11 +93,8 @@ def sum_weight(lam: KP, rs: RootSystem):
     return tuple(w)
 
 
-def multiplicities(lam: KP) -> dict[Root, int]:
-    m: dict[Root, int] = {}
-    for b in lam:
-        m[b] = m.get(b, 0) + 1
-    return m
+def multiplicities(lam: KP) -> Counter[Root]:
+    return Counter(lam)
 
 
 def root_word(alpha: Root, order: ConvexOrder) -> Word:

@@ -93,10 +93,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by q^n."""
-        return LaurentPoly({e + n: a for e, a in self.c.items()})
-
     # -- structure ---------------------------------------------------------
 
     def min_exp(self) -> int:

@@ -52,19 +52,16 @@ class HomogRep:
                     raise NotHomogeneousError(f"{base_word}: distance-2 repeat in {w}")
 
     def _swap_class(self, base: Word) -> frozenset[Word]:
-        C = self.rs.cartan
         seen = {base}
         frontier = [base]
         while frontier:
             nxt = []
             for w in frontier:
                 for t in range(len(w) - 1):
-                    a, b = w[t], w[t + 1]
-                    if a != b and C[a - 1][b - 1] == 0:
-                        w2 = w[:t] + (b, a) + w[t + 2:]
-                        if w2 not in seen:
-                            seen.add(w2)
-                            nxt.append(w2)
+                    w2 = self.tau(t, w)
+                    if w2 is not None and w2 not in seen:
+                        seen.add(w2)
+                        nxt.append(w2)
             frontier = nxt
         return frozenset(seen)
 

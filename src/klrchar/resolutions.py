@@ -67,7 +67,7 @@ class ChainComplex:
             for d in sorted(self.terms)
         ]
         diffs = [
-            {"from": d, "matrix": [[klr_to_json(e, self.engine) for e in row]
+            {"from": d, "matrix": [[klr_to_json(e) for e in row]
                                    for row in self.differentials[d]]}
             for d in sorted(self.differentials)
         ]

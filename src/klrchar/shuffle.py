@@ -4,8 +4,8 @@ A shuffle element is a sparse mapping word -> LaurentPoly.  The product of
 two words sums q^{deg(w; ij)} w(ij) over all interleavings; deg counts
 crossing pairs weighted by minus the form on the letters.  A single
 word-pair product (`_pair_shuffle`) places the letters of the shorter word
-among those of the longer one, editing one list from each placement to
-the next.
+left to right among those of the longer one, whichever operand it is,
+editing one list from each placement to the next.
 
 Every coefficient here but in `_pair_shuffle`'s output is packed (`Packed`):
 a word's Laurent polynomial sum a_e q^e is the one integer
@@ -61,6 +61,7 @@ from math import comb, factorial
 
 from .cartan import RootSystem
 from .convex import Word
+from .kostant import sum_weight
 from .laurent import LaurentPoly
 
 ShuffleElement = dict  # Word -> LaurentPoly
@@ -88,75 +89,63 @@ def deg_stat(w_perm: tuple[int, ...], word: Word, rs: RootSystem) -> int:
 def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
     """Shuffle of two single words: {word: {exponent: interleavings}}.
 
-    The letters of the shorter word are placed among those of the longer
-    one at slots a_0 <= a_1 <= ..., a_t the number of letters of the longer
-    word in front of letter t, in the order of the interleavings taking i[a]
-    before j[b]: lexicographic over the slots, ascending for letters of i
-    and descending for letters of j.  The word is one list: the next slots
-    mostly move the last letter one slot on, a swap with the letter it
-    passes (none where the two are equal, as the word stays), and otherwise
-    move an earlier letter on and rewrite the word's tail from slices.
+    The letters of the shorter word are placed left to right among those of
+    the longer one, at slots a_0 <= a_1 <= ..., a_t the number of letters of
+    the longer word in front of letter t, lexicographic over the slots.
+    When i is the shorter word, that is the order of the interleavings
+    taking i[a] before j[b].  The word is one list: the next slots mostly
+    move the last letter one slot on, a swap with the letter it passes (none
+    where the two are equal, as the word stays), and otherwise move an
+    earlier letter on and rewrite the word's tail from slices.
     """
     B = rs.bilinear_matrix
-    ascending = len(i) <= len(j)
-    short, long = (i, j) if ascending else (j, i)
+    short, long = (i, j) if len(i) <= len(j) else (j, i)
     k, n = len(short), len(long)
     if not k:
         return {long: {0: 1}}
     # cost[t][a]: minus the form of letter t at slot a with the letters it
     # crosses, those of j in front of a letter of i: a letter of i at slot a
-    # follows j[:a], and a letter of j at slot a precedes i[a:]
-    if ascending:
-        cost = [list(accumulate([-B[x - 1][y - 1] for y in long], initial=0))
-                for x in short]
+    # follows j[:a], and a letter of j at slot a precedes i[a:]: prefix sums
+    # when i is the shorter word, suffix sums when j is
+    if short is i:
+        cost = [list(accumulate([-B[x - 1][y - 1] for y in long], initial=0)) for x in short]
     else:
         cost = [list(accumulate([-B[x - 1][y - 1] for y in reversed(long)], initial=0))[::-1]
                 for x in short]
     # slot[t] for the letters but the last, whose slot is s; part[t] is the
-    # exponent of the letters in front of t; the last letter stops at `stop`
-    step, last, y, c = (1 if ascending else -1), k - 1, short[-1], cost[-1]
-    slot = [0 if ascending else n] * last
-    part = list(accumulate([cost[t][slot[t]] for t in range(last)], initial=0))
-    s = 0 if ascending else n
-    stop = n if ascending else slot[-1] if last else 0
-    word = [*short, *long] if ascending else [*long, *short]
+    # exponent of the letters in front of t
+    last, y, c = k - 1, short[-1], cost[-1]
+    slot = [0] * last
+    part = list(accumulate([r[0] for r in cost[:last]], initial=0))
+    s = 0
+    word = [*short, *long]
     out: dict[Word, dict[int, int]] = {}
     get = out.get
-    d = out[tuple(word)] = {part[last] + c[s]: 1}
+    d = out[tuple(word)] = {part[last] + c[0]: 1}
     while True:
-        if s != stop:
+        if s != n:
             # the last letter passes the letter x of the longer word
             p = s + last
-            x = word[p + step]
-            s += step
+            x = word[p + 1]
+            s += 1
             e = part[last] + c[s]
             if x == y:
                 d[e] = d.get(e, 0) + 1
                 continue
-            word[p], word[p + step] = x, y
+            word[p], word[p + 1] = x, y
         else:
             # the rightmost earlier letter that can move on does; the letters
-            # after it restart at their first slot
+            # after it restart at its new slot
             t = last - 1
-            if ascending:
-                while t >= 0 and slot[t] == n:
-                    t -= 1
-            else:
-                while t >= 0 and slot[t] == (slot[t - 1] if t else 0):
-                    t -= 1
+            while t >= 0 and slot[t] == n:
+                t -= 1
             if t < 0:
                 return out
-            a = slot[t] + step
-            if ascending:
-                word[a + t - 1:] = long[a - 1:a] + short[t:] + long[a:]
-                slot[t:] = [a] * (last - t)
-                s = a
-            else:
-                word[a + t:] = short[t:t + 1] + long[a:] + short[t + 1:]
-                slot[t:] = [a] + [n] * (last - t - 1)
-                s, stop = n, slot[-1]
+            s = slot[t] + 1
+            word[s + t - 1:] = long[s - 1:s] + short[t:] + long[s:]
+            slot[t:] = [s] * (last - t)
             for r in range(t, last):
-                part[r + 1] = part[r] + cost[r][slot[r]]
+                part[r + 1] = part[r] + cost[r][s]
             e = part[last] + c[s]
         w = tuple(word)
         d = get(w)
@@ -581,13 +570,10 @@ def restrict_character(a: ShuffleElement, parts, rs: RootSystem):
     of restriction to the given weight sequence.
     """
     parts = [tuple(p) for p in parts]
-    total = [0] * rs.rank
-    for p in parts:
-        for k in range(rs.rank):
-            total[k] += p[k]
+    total = sum_weight(parts, rs)
     out: dict[tuple[Word, ...], LaurentPoly] = {}
     for word, coeff in a.items():
-        if word_weight(word, rs) != tuple(total):
+        if word_weight(word, rs) != total:
             raise ValueError("weight mismatch between element and parts")
         pos = 0
         blocks = []
@@ -600,11 +586,10 @@ def restrict_character(a: ShuffleElement, parts, rs: RootSystem):
                 break
             blocks.append(block)
             pos += ht
-        if ok:
-            key = tuple(blocks)
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-    return {k: v for k, v in out.items() if v}
+        if ok and coeff:
+            # the blocks concatenate to the word, so no two words share a key
+            out[tuple(blocks)] = coeff
+    return out
 
 
 def render_word(w: Word) -> str:

@@ -585,8 +585,12 @@ STDOUT_DIGESTS = [
     ("dim-check --type D --rank 4 --max-height 4 --truncate 12", "b132f470e29fcf03"),
     ("dim-check --type F --rank 4 --alpha 1,2,2,1 --truncate 14", "5ac2ceda19cf7491"),
     ("gram --type A --rank 5 --willcex --mod 2,3", "4e7a170e3f6d7776"),
+    # 2311 has weight (2,1,1), not the parts' (1,1,1): the empty matrix
     ('gram --type A --rank 3 --parts "0,1,1;1,0,0" --word 2311 --degree 0',
      "db2c79e718f088aa"),
+    # [[-1, 1], [1, -1]], rank 1 over Q and mod 2
+    ('gram --type A --rank 3 --parts "0,1,0;1,1,1;1,0,0" --word 12123 --degree 0',
+     "c434a81412f5df7a"),
     ("resolve --type D --rank 5 --alpha 1,1,1,1,1", "170d729d3fb06586"),
     ('resolve --type A --rank 3 --alpha 1,1,1 --eps "+12,-21"', "39ac8ecb5b3bc72e"),
 ]
