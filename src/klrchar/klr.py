@@ -155,9 +155,7 @@ class KLR:
         return z
 
     def idempotent(self, word) -> Element:
-        word = tuple(word)
-        n = len(word)
-        return {(word, perm_id(n), self.zeros(n)): 1}
+        return self.monomial(word, perm_id(len(word)))
 
     def monomial(self, word, w: Perm, exps=None, coeff: int = 1) -> Element:
         word = tuple(word)
@@ -239,13 +237,10 @@ class KLR:
         if hit is not None:
             return hit
         if w.index(k) < w.index(k + 1):
-            # ascent
-            u = swap_values(w, k)
-            cu = canon_word(u)
-            if cu[0] == k:
-                out = self.monomial(i, u)
-            else:
-                out = self.word_to_normal((k,) + canon_word(w), i)
+            # ascent: (k,) + canon(w) is a reduced word of s_k w.  A suffix of
+            # a canonical word is canonical, so canon(s_k w) starts with k
+            # exactly when it is that word, and word_to_normal tests that
+            out = self.word_to_normal((k,) + canon_word(w), swap_values(w, k), i)
         else:
             # descent: tau_k tau_w = tau_k^2 tau_{w'} - tau_k C  where
             # tau_k tau_{w'} = tau_w + C and w' = s_k w
@@ -264,14 +259,14 @@ class KLR:
         self._ttp[key] = self._guard(out)
         return out
 
-    def word_to_normal(self, seq, i) -> Element:
-        """Normal form of a product of taus along a reduced word."""
-        v = perm_of_word(seq, len(i))
+    def word_to_normal(self, seq: tuple, v: Perm, i: tuple) -> Element:
+        """Normal form of tau_seq 1_i, where seq is a reduced word of v."""
         cv = canon_word(v)
-        if tuple(seq) == cv:
+        if seq == cv:
             return self.monomial(i, v)
-        tail, corr = self.front_elem(tuple(seq), cv[0], tuple(i))
-        out = self.lmul_tau(cv[0], self.word_to_normal(tail, i))
+        g = cv[0]
+        tail, corr = self.front_elem(seq, g, i)
+        out = self.lmul_tau(g, self.word_to_normal(tail, swap_values(v, g), i))
         if corr:
             out = elem_add(out, corr)
         return self._guard(out)
@@ -303,7 +298,7 @@ class KLR:
         terms = self.braid_terms(kk, jj)
         if terms:
             sign = 1 if h > g else -1
-            base = self.word_to_normal(t2, i)
+            base = self.word_to_normal(t2, v2, i)
             for coeff, exps in terms:
                 for (iw, wv, a), c in base.items():
                     add_into(corr, (iw, wv, tuple(x + y for x, y in zip(a, exps))),
@@ -359,23 +354,9 @@ class KLR:
 def _demazure(a, k: int) -> list[tuple[int, tuple]]:
     """(s_k x^a - x^a) / (x_k - x_{k+1}) as [(coeff, exps)]."""
     p, q = a[k], a[k + 1]
-    if p == q:
-        return []
-    out = []
-    base = list(a)
-    if p > q:
-        for t in range(p - q):
-            e = list(base)
-            e[k] = q + t
-            e[k + 1] = p - 1 - t
-            out.append((-1, tuple(e)))
-    else:
-        for t in range(q - p):
-            e = list(base)
-            e[k] = p + t
-            e[k + 1] = q - 1 - t
-            out.append((1, tuple(e)))
-    return out
+    lo, hi = min(p, q), max(p, q)
+    sign = 1 if p < q else -1
+    return [(sign, a[:k] + (lo + t, hi - 1 - t) + a[k + 2:]) for t in range(hi - lo)]
 
 
 def klr_to_json(elem: Element) -> list[dict]:

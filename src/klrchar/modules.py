@@ -178,7 +178,8 @@ class ProperStandard:
         u1, local = self.block_factorize(u)
         jword = self.concat(words)
         if local:
-            # tau_{u1} tau_{u2} = tau_u + lower terms, and tau_{u2} acts on the tensor
+            # tau_{u1} tau_{u2} = tau_u + lower terms, and tau_{u2} acts on the tensor;
+            # rw, canon(u1) then the blocks' local words, is a reduced word of u
             rw = canon_word(u1)
             w2 = list(words)
             for t, cw in local.items():
@@ -186,7 +187,7 @@ class ProperStandard:
                 for c in reversed(cw):
                     if w2[t] is not None:
                         w2[t] = self.reps[t].tau(c, w2[t])
-            E = self.engine.word_to_normal(rw, jword)
+            E = self.engine.word_to_normal(rw, u, jword)
             lead = (jword, u, self.engine.zeros(self.n))
             if E.get(lead) != 1:
                 raise AssertionError("coset rewriting lost its leading term")

@@ -296,12 +296,8 @@ class Packed(Mapping):
 
     def repacked(self, width: int, offset: int) -> "Packed":
         """The same element at a width and an offset no smaller than its own."""
-        if width == self.width:
-            if offset == self.offset:
-                return self
-            up = width * (offset - self.offset)
-            return Packed({w: x << up for w, x in self.ints.items()},
-                          width, offset, self.bound)
+        if width == self.width and offset == self.offset:
+            return self
         return Packed({w: pack(unpack(x, self.width, self.offset), width, offset)
                        for w, x in self.ints.items()}, width, offset, self.bound)
 

@@ -9,11 +9,12 @@ must agree with evaluating its straightened normal form.
 """
 
 import random
+from itertools import product
 
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
-from klrchar.klr import KLR, canon_word
+from klrchar.klr import KLR, canon_word, perm_len, perm_of_word
 
 Poly = dict  # exps tuple -> coeff
 
@@ -245,3 +246,29 @@ def test_normal_form_matches_polynomial_module(fam, rank, n):
         direct = rep.act_gens(gens, start)
         via_normal_form = rep.act_element(elem, start)
         assert direct == via_normal_form, (fam, word, gens)
+
+
+# every reduced word of S_4 of length 2 to 6: 62 words, canonical or not
+REDUCED_WORDS_S4 = [seq for length in range(2, 7)
+                    for seq in product(range(3), repeat=length)
+                    if perm_len(perm_of_word(seq, 4)) == length]
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 2), ("A", 3), ("B", 3), ("G", 2)])
+def test_word_to_normal_matches_polynomial_module(fam, rank):
+    # word_to_normal is the one place that tests a reduced word for
+    # canonicity; a non-canonical word must be rewritten, braid corrections
+    # and all, into the normal form of the same product
+    n = 4
+    klr = KLR(RootSystem(CartanType(fam, rank)))
+    rep = calibrate(klr, n)
+    rng = random.Random(f"word_to_normal {fam}{rank}")
+    for seq in REDUCED_WORDS_S4:
+        v = perm_of_word(seq, n)
+        for _ in range(6):
+            word = tuple(rng.randint(1, rank) for _ in range(n))
+            exps = tuple(rng.randint(0, 2) for _ in range(n))
+            start = {(word, exps): 1}
+            direct = rep.act_gens([("tau", k) for k in seq], start)
+            via_normal_form = rep.act_element(klr.word_to_normal(seq, v, word), start)
+            assert direct == via_normal_form, (fam, seq, word)

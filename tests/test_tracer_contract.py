@@ -13,6 +13,8 @@ import pytest
 
 from klrchar import CartanType, RootSystem, lyndon_order
 from klrchar import canonical
+from klrchar import klr as klr_mod
+from klrchar import modules
 from klrchar import pbw as pbw_mod
 from klrchar import resolutions
 
@@ -77,3 +79,20 @@ def test_wrapped_names_stay_on_their_call_paths(tracer):
     assert metrics["shuffle.pair_computed"] > 0
     assert metrics["shuffle.pair_cache_entries"] > 0
     assert metrics["pbw.char_projective_perms"] > 0
+
+
+def test_straightening_names_stay_on_the_gram_path(tracer):
+    # klr.self_s and klr.max_terms are read from these wrappers, so the
+    # straightening kernel must keep reaching them from a Gram matrix
+    rs = RootSystem(CartanType("A", 3))
+    t = tracer.Tracer().install()
+    try:
+        M = modules.ProperStandard(klr_mod.KLR(rs), lyndon_order(rs),
+                                   ((0, 1, 0), (1, 1, 1), (1, 0, 0)))
+        G = M.gram_matrix((1, 2, 1, 2, 3), 0)
+    finally:
+        t.uninstall()
+    assert G == [[-1, 1], [1, -1]]
+    for key in ("klr.tau_times_perm", "klr.word_to_normal", "klr.front_elem",
+                "modules.act_tau"):
+        assert t.calls[key] > 0, key
