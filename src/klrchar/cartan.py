@@ -89,7 +89,7 @@ class RootSystem:
         self._positive = {b: b for b in pos}  # one stored tuple per root
         self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
         # memos of shuffle.py and pbw.py, shared by every ordering of this system
-        self._shuffle_pair_cache: dict = {}  # word pair -> its shuffle
+        self._shuffle_pair_cache: dict = {}  # (i, j, width, offset) -> packed i o j
         self._root_chars: dict = {}  # each dual root character, interned by value
         self._solves: dict[tuple[int, int], dict] = {}  # input ids -> r*_alpha
 

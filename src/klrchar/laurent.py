@@ -2,7 +2,8 @@
 
 Every coefficient in the toolkit is one of these, kept as an
 {exponent: coefficient} dict with no zero entries; all arithmetic is exact
-integer arithmetic.  `series` expands a quotient to a printed truncation.
+integer arithmetic.  `LaurentPoly.exact_div` and `series`, which expands a
+quotient to a printed truncation, share one long division, `_divide`.
 """
 
 from __future__ import annotations
@@ -118,28 +119,12 @@ class LaurentPoly:
             raise ExactDivisionError("division by zero")
         if not self:
             return LaurentPoly()
-        e0 = other.min_exp()
-        c0 = other.c[e0]
-        span = other.max_exp() - e0
-        top = self.max_exp()
         rem = dict(self.c)
-        quo: dict[int, int] = {}
-        # one ordered sweep: a quotient term clears rem at e and changes it
-        # only on [e + 1, e + span], so rem never grows above top
-        for e in range(self.min_exp(), top + 1):
-            a = rem.pop(e, 0)
-            if not a:
-                continue
-            if a % c0:
-                raise ExactDivisionError(f"coefficient {a} not divisible by {c0}")
-            if e + span > top:
-                raise ExactDivisionError("inexact Laurent division")
-            f = a // c0
-            quo[e - e0] = f
-            for eo, ao in other.c.items():
-                if eo != e0:
-                    k = e - e0 + eo
-                    rem[k] = rem.get(k, 0) - f * ao
+        # a quotient term at e - e0 reaches rem up to e + span, so the last
+        # one clears rem at top - span at most
+        quo = _divide(rem, other, self.max_exp() - other.max_exp() + other.min_exp())
+        if any(rem.values()):
+            raise ExactDivisionError("inexact Laurent division")
         return LaurentPoly(quo)
 
     # -- rendering ---------------------------------------------------------
@@ -225,25 +210,38 @@ def factor_quantum(p: LaurentPoly, d_labels: dict[int, int] | None = None) -> st
     return "".join(bits)
 
 
+def _divide(rem: dict[int, int], den: LaurentPoly, last: int) -> dict[int, int]:
+    """The quotient of rem by den, swept lowest term first up to exponent last.
+
+    Each nonzero coefficient of rem at e <= last gives one quotient term and
+    is cleared; what lies above last stays in rem.  Raises
+    ExactDivisionError where a coefficient is not divisible by den's lowest.
+    """
+    e0 = den.min_exp()
+    c0 = den.c[e0]
+    quo: dict[int, int] = {}
+    # a quotient term clears rem at e and changes it only above e, so one
+    # ordered sweep meets every term
+    for e in range(min(rem, default=last + 1), last + 1):
+        a = rem.pop(e, 0)
+        if not a:
+            continue
+        f, r = divmod(a, c0)
+        if r:
+            raise ExactDivisionError(f"coefficient {a} not divisible by {c0}")
+        quo[e - e0] = f
+        for eo, ao in den.c.items():
+            if eo != e0:
+                k = e - e0 + eo
+                rem[k] = rem.get(k, 0) - f * ao
+    return quo
+
+
 def series(num: LaurentPoly, den: LaurentPoly, trunc: int) -> dict[int, int]:
     """Coefficients of num / den up to q^trunc; den's lowest term must be +-q^e."""
     e0 = den.min_exp()
-    c0 = den.c[e0]
-    if c0 not in (1, -1):
+    if den.c[e0] not in (1, -1):
         raise ExactDivisionError("series division needs a unit lowest term")
     # numerator terms above trunc + e0 only feed quotient terms above trunc
-    rem = {e: a for e, a in num.c.items() if e <= trunc + e0}
-    out: dict[int, int] = {}
-    while rem:
-        e = min(rem)
-        f = rem[e] * c0
-        out[e - e0] = f
-        for ep, ap in den.c.items():
-            k = e - e0 + ep
-            if k <= trunc + e0:
-                b = rem.get(k, 0) - f * ap
-                if b:
-                    rem[k] = b
-                elif k in rem:
-                    del rem[k]
-    return out
+    last = trunc + e0
+    return _divide({e: a for e, a in num.c.items() if e <= last}, den, last)

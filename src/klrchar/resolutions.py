@@ -18,9 +18,8 @@ from __future__ import annotations
 from .cartan import Root
 from .convex import ConvexOrder, Word, mp_choice
 from .klr import KLR, Element, add_into, klr_to_json
-from .kostant import root_kappa
 from .laurent import LaurentPoly
-from .pbw import PBWCharacters, projective_divisor, standard_divisor
+from .pbw import PBWCharacters, divisor, projective_factors, standard_factors
 from .shuffle import ShuffleElement, render_word, sh_eq, sh_scale, shuffle_letters
 
 
@@ -79,8 +78,6 @@ def resolution(alpha: Root, order: ConvexOrder, engine: KLR | None = None) -> Ch
     alpha = tuple(alpha)
     if any(c > 1 for c in alpha):
         raise NotMultiplicityFreeError(f"{alpha} is not multiplicity-free")
-    if root_kappa(alpha, order) != LaurentPoly.one():
-        raise NotMultiplicityFreeError(f"kappa of {alpha} is not 1")
     if engine is None:
         engine = KLR(rs)
     n = sum(alpha)
@@ -116,8 +113,6 @@ def _diff_entry(sigma, rho, data, engine: KLR) -> Element:
     sign = -1 if sum(sigma[:r]) % 2 else 1
     wi, _ = data[sigma]
     wr, _ = data[rho]
-    if len(set(wr)) != len(wr):
-        raise NotMultiplicityFreeError("repeated letters break uniqueness of the crossing")
     # unique w with w(word_rho) = word_sigma
     pos_in_sigma = {letter: t for t, letter in enumerate(wi)}
     w = tuple(pos_in_sigma[letter] for letter in wr)
@@ -158,7 +153,9 @@ def expected_euler(alpha: Root, order: ConvexOrder, pbw: PBWCharacters) -> Shuff
     """Numerator over D of Ch Delta(alpha): r*_alpha D / (1 - q^{2 d_alpha})."""
     alpha = tuple(alpha)
     rs = order.rs
-    scale = projective_divisor(alpha, rs).exact_div(standard_divisor((alpha,), rs))
+    # d_alpha is some d_i of alpha's support, as a root has the length of
+    # a simple root in its support, so the quotient drops one factor
+    scale = divisor(projective_factors(alpha, rs) - standard_factors((alpha,), rs))
     return sh_scale(pbw.dual_root(alpha), scale)
 
 

@@ -39,10 +39,11 @@ the solve for dual root vectors divides it, and the length-two check
 compares it with the root character it produces.
 
 Only `shuffle` memoizes word-pair products, packed, in the root system's
-`_shuffle_pair_cache`: the products of dual PBW monomials along Kostant
-partitions meet the same pairs again.  A q-commutator's pairs do not recur,
-since the solves that call it are memoized on their inputs (pbw.py).
-`drop_pair_memo` empties the memo; its docstring says how long it lives.
+`_shuffle_pair_cache`, keyed by the pair, the width and the offset: the
+products of dual PBW monomials along Kostant partitions meet the same pairs
+again.  A q-commutator's pairs do not recur, since the solves that call it
+are memoized on their inputs (pbw.py).  `drop_pair_memo` empties the memo;
+its docstring says how long it lives.
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
@@ -159,15 +160,13 @@ def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem, width: int,
                        offset: int) -> dict[Word, int]:
     """_pair_shuffle packed at (width, offset), through the root system's memo.
 
-    The memo is keyed by the word pair and holds the pair's product at each
-    width it was asked for; offset depends on the pair alone.
+    The memo is keyed by (i, j, width, offset), everything an entry depends on.
     """
-    by_width = rs._shuffle_pair_cache.get((i, j), {})
-    hit = by_width.get(width)
+    key = i, j, width, offset
+    hit = rs._shuffle_pair_cache.get(key)
     if hit is None:
-        hit = by_width[width] = {w: pack(d, width, offset)
-                                 for w, d in _pair_shuffle(i, j, rs).items()}
-        rs._shuffle_pair_cache[(i, j)] = by_width
+        hit = rs._shuffle_pair_cache[key] = {w: pack(d, width, offset)
+                                             for w, d in _pair_shuffle(i, j, rs).items()}
     return hit
 
 
@@ -264,18 +263,17 @@ class Packed(Mapping):
         self.bound = bound
 
     @classmethod
-    def of(cls, a: ShuffleElement, width: int = 0, shift: int = 0,
-           norm: int | None = None) -> "Packed":
-        """q^shift a, packed at width or at the narrowest width its norm allows.
+    def of(cls, a: ShuffleElement, width: int = 0, norm: int | None = None) -> "Packed":
+        """a, packed at width or at the narrowest width its norm allows.
 
         norm, when given, is l1_norm(a).
         """
-        if isinstance(a, Packed) and not shift:
+        if isinstance(a, Packed):
             return a.repacked(max(width, a.width), a.offset)
         bound = l1_norm(a) if norm is None else norm
         width = max(width, slot_width(bound))
-        offset = -min((min(p.c) for p in a.values() if p), default=0) - shift
-        return cls({w: pack(p.c, width, offset + shift) for w, p in a.items() if p},
+        offset = -min((min(p.c) for p in a.values() if p), default=0)
+        return cls({w: pack(p.c, width, offset) for w, p in a.items() if p},
                    width, offset, bound)
 
     @classmethod
@@ -285,14 +283,15 @@ class Packed(Mapping):
         prod_k |f_k|_1 times the multinomial coefficient of the factors' word
         lengths bounds the product, and the bound of every partial product
         f_1 o ... o f_k is at most that, so shuffling in f_2, ..., f_n in
-        turn never repacks.
+        turn never repacks.  The shift moves the offset, not the integers.
         """
         bound, length = 1, 0
         for f in factors:
             m = max(map(len, f), default=0)
             length += m
             bound *= l1_norm(f) * comb(length, m)
-        return cls.of(factors[0], slot_width(bound), shift)
+        first = cls.of(factors[0], slot_width(bound))
+        return cls(first.ints, first.width, first.offset - shift, first.bound)
 
     def repacked(self, width: int, offset: int) -> "Packed":
         """The same element at a width and an offset no smaller than its own."""
@@ -382,10 +381,9 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     bound = na * nb * max(f[2] for f in forms.values()) * (2 if twist else 1)
     width = max([slot_width(bound)] + [p.width for p in (a, b) if isinstance(p, Packed)])
     pa, pb = Packed.of(a, width, norm=na), Packed.of(b, width, norm=nb)
-    # the pair products go in at `lift` slots above the operands' offsets:
+    # every pair product goes in at `top` slots above the operands' offsets:
     # e >= -pos, and the twisted t - e >= s - pos
-    lift = {k: pos + (max(0, -s) if twist else 0) for k, (pos, _, _) in forms.items()}
-    top = max(lift.values())
+    top = max(pos for pos, _, _ in forms.values()) + (max(0, -s) if twist else 0)
     if twist:
         # per pair of weights, D[e] = X^(e + top) - X^(t - e + top), X = 2^width:
         # the twisted exponent is t - e, t = s - (|u|,|v|), and both slots
@@ -401,9 +399,8 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     for u, A in pa.ints.items():
         for v, Bv in pb.ints.items():
             AB = A * Bv
-            key = ka[u], kb[v]
             if twist:
-                D = rows[key]
+                D = rows[ka[u], kb[v]]
                 for word, exps in _pair_shuffle(u, v, rs).items():
                     T = 0
                     for e, n in exps.items():
@@ -413,10 +410,7 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
                     if T:
                         acc[word] = get(word, 0) + T * AB
             else:
-                gap = top - lift[key]
-                if gap:
-                    AB <<= width * gap
-                for word, P in _memo_pair_shuffle(u, v, rs, width, lift[key]).items():
+                for word, P in _memo_pair_shuffle(u, v, rs, width, top).items():
                     acc[word] = get(word, 0) + P * AB
     ints = {w: x for w, x in acc.items() if x}
     # the slots below every word's lowest term are empty: shift them out

@@ -153,11 +153,20 @@ def test_kappa_trivial_simply_laced():
 
 
 def test_kappa_trivial_multiplicity_free():
-    for fam, rank in [("B", 3), ("C", 3), ("F", 4)]:
-        rs, o = setup_type(fam, rank)
-        for alpha in rs.positive_roots:
-            if all(c <= 1 for c in alpha):
-                assert root_kappa(alpha, o) == LaurentPoly.one()
+    # resolutions.resolution relies on this: with no coefficient above 1 the
+    # two roots of each minimal pair have disjoint supports, so p = 0 at
+    # every node of the recursion
+    types = [("A", 8), ("B", 3), ("B", 5), ("C", 3), ("C", 5), ("D", 6), ("E", 6),
+             ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    for fam, rank in types:
+        rs, lyndon = setup_type(fam, rank)
+        rng = random.Random(f"{fam}{rank}")
+        orders = [lyndon] + [order_from_reduced_word(random_reduced_word(rs, rng), rs)
+                             for _ in range(3)]
+        for o in orders:
+            for alpha in rs.positive_roots:
+                if all(c <= 1 for c in alpha):
+                    assert root_kappa(alpha, o) == LaurentPoly.one(), (fam, rank, o.label, alpha)
 
 
 def test_unique_minimum_powers():

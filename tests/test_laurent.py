@@ -136,6 +136,21 @@ def test_series_matches_long_division(num, den, trunc):
         e: a for e, a in num.items() if e <= top}
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(COEFFS, unit_lowest())
+def test_series_of_an_exact_quotient_is_its_exact_div(a, b):
+    # exact_div and series are one long division: an exact quotient expands
+    # to itself cut at each truncation, and whole from its top exponent on
+    a = LaurentPoly({e: c for e, c in a.items() if c})
+    b = LaurentPoly({e: c for e, c in b.items() if c})
+    num = a * b
+    assert num.exact_div(b) == a
+    top = a.max_exp() if a else 0
+    for t in range(-8, top + 1):
+        assert series(num, b, t) == {e: c for e, c in a.c.items() if e <= t}
+    assert series(num, b, top) == series(num, b, top + 3) == a.c
+
+
 def test_quantum_factors():
     p = LaurentPoly.qint(2) * LaurentPoly.qint(3)
     assert quantum_factors(p) == [(2, 1), (3, 1)]

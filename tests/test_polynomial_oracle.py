@@ -227,7 +227,7 @@ def test_normal_form_matches_polynomial_module(fam, rank, n):
     rs = RootSystem(CartanType(fam, rank))
     klr = KLR(rs)
     rep = calibrate(klr, n)
-    rng = random.Random(hash((fam, rank, n)) & 0xFFFF)
+    rng = random.Random(f"{fam}{rank}{n}")
     for _ in range(60):
         word = tuple(rng.randint(1, rank) for _ in range(n))
         gens = []

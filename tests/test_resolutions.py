@@ -4,11 +4,11 @@ from klrchar.cartan import CartanType, RootSystem
 from klrchar.convex import lyndon_order
 from klrchar.klr import KLR
 from klrchar.laurent import LaurentPoly, series
-from klrchar.pbw import PBWCharacters, dim_standard, projective_divisor
+from klrchar.pbw import PBWCharacters, dim_standard, projective_divisor, standard_divisor
 from klrchar.resolutions import (ChainComplex, NotMultiplicityFreeError,
                                  euler_character, euler_matches, expected_euler,
                                  resolution, verify_complex)
-from klrchar.shuffle import sh_eq, sh_word, shuffle
+from klrchar.shuffle import sh_eq, sh_scale, sh_word, shuffle
 
 
 def setup(fam, rank):
@@ -188,6 +188,18 @@ def test_exact_euler_matches_series_oracle(fam, rank):
         got = euler_character(cx, o)
         assert sh_eq(got, oracle_euler_series(cx, rs)), alpha
         assert sh_eq(got, expected_euler(alpha, o, pbw)), alpha
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 3), ("C", 3), ("F", 4), ("G", 2)])
+def test_expected_euler_is_r_alpha_times_the_divisor_quotient(fam, rank):
+    # types where d_alpha varies with alpha: dropping the factor of d_alpha
+    # from D agrees with dividing D by S_alpha
+    rs, o, _ = setup(fam, rank)
+    pbw = PBWCharacters(o)
+    for alpha in multiplicity_free(rs):
+        scale = projective_divisor(alpha, rs).exact_div(standard_divisor((alpha,), rs))
+        want = sh_scale(pbw.dual_root(alpha), scale)
+        assert sh_eq(expected_euler(alpha, o, pbw), want), alpha
 
 
 def _altered(cx, terms):

@@ -386,6 +386,18 @@ def test_packed_operands_chain_like_plain_ones():
         assert sh_dim(ab) == sum(ab.values(), LaurentPoly.zero())
 
 
+def test_pair_memo_keeps_one_pair_at_two_offsets():
+    # next to the pair 1, 1 the pair 2, 1 is packed two slots up; alone it
+    # is packed at offset 0 at the same width, so an entry keyed without its
+    # offset would be read two slots off
+    rs = RootSystem(CartanType("A", 2))
+    one, two = {(1,): LaurentPoly.one()}, {(2,): LaurentPoly.one()}
+    for a in ({**one, **two}, two):
+        assert sh_eq(shuffle(a, one, rs), oracle_product(a, one, rs))
+    keys = [k for k in rs._shuffle_pair_cache if k[:2] == ((2,), (1,))]
+    assert len(keys) == 2 and len({k[2] for k in keys}) == 1
+
+
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
 def test_pack_round_trips_at_the_slot_extremes(width):
     top = 2 ** (width - 1) - 1
