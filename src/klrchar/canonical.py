@@ -20,10 +20,16 @@ coefficient of the result; only the words that survive become Laurent
 polynomials.  compute_weight keeps the packed b*_mu while it runs, for the
 weight's later partitions.
 
-A table drops the root system's word-pair memo when it finishes a weight
-(shuffle.drop_pair_memo).  The on-disk cache is streamed: a header line,
-then one line per partition, so neither writing nor reading it builds the
-whole document.
+A table holds one object per distinct word and coefficient.  The words of
+its characters come from the word-pair memo, which shares them
+(shuffle._memo_pair_shuffle), and it maps each stored coefficient through
+one dict kept for its life.  A table drops the root system's word-pair
+memo when it finishes a weight (shuffle.drop_pair_memo).
+
+The on-disk cache is streamed: a header line, then one line per partition,
+so neither writing nor reading it builds the whole document.  Reading
+shares words and coefficients as the computation does, and treats a file
+with a value that no table writes as a miss.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ class CanonicalTable:
         self.pbw = pbw if pbw is not None else PBWCharacters(order)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._table: dict[KP, ShuffleElement] = {}
+        # each stored coefficient, one object per value
+        self._coeffs: dict[LaurentPoly, LaurentPoly] = {}
         if self.cache_dir:
             self._load_cache()
 
@@ -104,10 +112,12 @@ class CanonicalTable:
             scalars = {mu: kp_scalars(mu, self.order) for mu in kps}
             # the packed b*_mu, for the weight's later partitions
             packed: dict = {}
+            share = self._coeffs.setdefault
             for lam in todo:
                 below = [(mu, scalars[mu][2], scalars[mu][3]) for mu in kps
                          if kp_less(mu, lam, self.order)]
-                self._table[lam] = self._leclerc(lam, below, packed)
+                ch = self._leclerc(lam, below, packed)
+                self._table[lam] = {w: share(c, c) for w, c in ch.items()}
             drop_pair_memo(self.rs)
             if self.cache_dir:
                 self._save_cache()
@@ -156,28 +166,46 @@ class CanonicalTable:
         return self.cache_dir / name
 
     def _load_cache(self):
-        """Fill the table from the cache file; an unreadable file is a miss."""
+        """Fill the table from the cache file; an unreadable or corrupt file is a miss.
+
+        Corrupt means a word whose weight is not its partition's, or a
+        coefficient that is zero, repeats an exponent, or holds an exponent
+        or a coefficient that is not an int.  Equal words are read into one
+        tuple, and equal coefficients into the table's one object.
+        """
         path = self._cache_path()
         if not path.exists():
             return
         table = {}
+        words: dict[Word, Word] = {}
+        coeffs: dict[tuple, LaurentPoly] = {}  # a flat coefficient -> its object
+        share = self._coeffs.setdefault
         try:
             with path.open() as fh:
                 head = json.loads(fh.readline())
                 if head.get("schema") != 2 or head.get("order") != self.order.fingerprint():
                     return
                 for line in fh:
-                    kp, words, coeffs = json.loads(line)
+                    kp, stored, flats = json.loads(line)
                     lam = tuple(tuple(part) for part in kp)
-                    height = sum(map(sum, lam))
+                    # the partition's weight as its sorted letters; word_weight
+                    # would index by label and count a label 0 as the last node
+                    letters = sorted(i + 1 for part in lam for i, n in enumerate(part)
+                                     for _ in range(n))
                     ch = table[lam] = {}
-                    for w, flat in zip(words, coeffs, strict=True):
-                        # a word of another length than its partition's
-                        # height cannot be one of its words: a corrupt file
-                        if len(w) != height:
+                    for w, flat in zip(stored, flats, strict=True):
+                        w = tuple(w)
+                        if sorted(w) != letters:
                             return
-                        ch[tuple(w)] = LaurentPoly(dict(zip(flat[::2], flat[1::2],
-                                                            strict=True)))
+                        flat = tuple(flat)
+                        c = coeffs.get(flat)
+                        if c is None:
+                            c = LaurentPoly(dict(zip(flat[::2], flat[1::2], strict=True)))
+                            if not (c and 2 * len(c.c) == len(flat) and 0 not in flat[1::2]
+                                    and all(type(x) is int for x in flat)):
+                                return
+                            c = coeffs[flat] = share(c, c)
+                        ch[words.setdefault(w, w)] = c
         except (OSError, ValueError, TypeError, AttributeError):
             return
         self._table.update(table)

@@ -90,6 +90,7 @@ class RootSystem:
         self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
         # memos of shuffle.py and pbw.py, shared by every ordering of this system
         self._shuffle_pair_cache: dict = {}  # (i, j, width, offset) -> packed i o j
+        self._shuffle_words: dict = {}  # each word of the memo, one object per value
         self._root_chars: dict = {}  # each dual root character, interned by value
         self._solves: dict[tuple[int, int], dict] = {}  # input ids -> r*_alpha
 

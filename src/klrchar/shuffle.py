@@ -30,7 +30,11 @@ The packed format stays inside this module.  `Packed.for_product` packs
 the first factor of a chain of products at the width of the whole chain,
 `Packed.div_one_minus_qk` divides packed coefficients by 1 - q^k as
 integers, and `sh_sub_scaled` adds up a - sum c b packed and decodes only
-the words that survive.
+the words that survive.  Both decode each distinct int once, to one
+LaurentPoly that every word holding that int shares: within one call the
+width and offset are fixed, so equal ints are equal polynomials.  Sharing
+changes no value, as nothing writes a LaurentPoly's `.c` once it is built
+(tests/test_laurent.py checks that).
 
 `q_commutator(a, b, s) = a o b - q^s (b o a)` enumerates each pair once: by
 the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), the twisted half is the
@@ -41,9 +45,13 @@ compares it with the root character it produces.
 Only `shuffle` memoizes word-pair products, packed, in the root system's
 `_shuffle_pair_cache`, keyed by the pair, the width and the offset: the
 products of dual PBW monomials along Kostant partitions meet the same pairs
-again.  A q-commutator's pairs do not recur, since the solves that call it
-are memoized on their inputs (pbw.py).  `drop_pair_memo` empties the memo;
-its docstring says how long it lives.
+again.  Each word of a new entry goes through the root system's
+`_shuffle_words`, so equal words of all entries are one tuple; the products
+built from the entries, and the canonical characters built from those,
+hold these tuples too.  A q-commutator's pairs do not recur, since the
+solves that call it are memoized on their inputs (pbw.py).
+`drop_pair_memo` empties the memo and its words; its docstring says how
+long they live.
 
 `shuffle_letters` is the one fold for shuffles of single letters: it gives
 the numerator of every projective character, of the graded dimension of
@@ -161,17 +169,20 @@ def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem, width: int,
     """_pair_shuffle packed at (width, offset), through the root system's memo.
 
     The memo is keyed by (i, j, width, offset), everything an entry depends on.
+    Each word of a new entry goes through the root system's word dict, so
+    equal words of all entries are one tuple.
     """
     key = i, j, width, offset
     hit = rs._shuffle_pair_cache.get(key)
     if hit is None:
-        hit = rs._shuffle_pair_cache[key] = {w: pack(d, width, offset)
+        share = rs._shuffle_words.setdefault
+        hit = rs._shuffle_pair_cache[key] = {share(w, w): pack(d, width, offset)
                                              for w, d in _pair_shuffle(i, j, rs).items()}
     return hit
 
 
 def drop_pair_memo(rs: RootSystem) -> None:
-    """Empty the root system's word-pair memo.
+    """Empty the root system's word-pair memo and its word dict.
 
     A canonical table calls this when it has finished a weight, so the memo
     lives for one weight's products.  Their pairs recur among that weight's
@@ -180,6 +191,7 @@ def drop_pair_memo(rs: RootSystem) -> None:
     recomputes them when it meets them again; no result changes.
     """
     rs._shuffle_pair_cache.clear()
+    rs._shuffle_words.clear()
 
 
 # -- packed coefficients -------------------------------------------------------
@@ -234,6 +246,18 @@ def unpack(x: int, width: int, offset: int) -> dict[int, int]:
             digits.byteswap()
     half = 1 << (width - 1)
     return {e - offset: d - half for e, d in enumerate(digits) if d != half}
+
+
+def _decoder(width: int, offset: int):
+    """x -> LaurentPoly(unpack(x, width, offset)), decoding each distinct x once."""
+    seen: dict[int, LaurentPoly] = {}
+
+    def decode(x: int) -> LaurentPoly:
+        c = seen.get(x)
+        if c is None:
+            c = seen[x] = LaurentPoly(unpack(x, width, offset))
+        return c
+    return decode
 
 
 def l1_norm(a: ShuffleElement) -> int:
@@ -312,12 +336,13 @@ class Packed(Mapping):
         R(2^K) = 0, that is when R = 0, as its digits fit their slots: the
         remainder of the integer division decides.  An exact quotient y has
         y_e = sum over j >= 0 of x_(e - jk), again at most |x|_1, so the
-        integer quotient decodes to y.
+        integer quotient decodes to y.  Equal quotients decode to one object.
         """
         one = 1 - (1 << self.width * k)
+        decode = _decoder(self.width, self.offset - shift)
         for w, x in self.ints.items():
             y, r = divmod(x, one)
-            yield w, None if r else LaurentPoly(unpack(y, self.width, self.offset - shift))
+            yield w, None if r else decode(y)
 
     def __getitem__(self, w: Word) -> LaurentPoly:
         return LaurentPoly(unpack(self.ints[w], self.width, self.offset))
@@ -461,10 +486,11 @@ def sh_sub_scaled(a: ShuffleElement,
     """a - sum of c b over the (key, b, c) of terms, added up packed.
 
     One integer multiply-add per word of each b; only the words of the
-    result are decoded.  No coefficient of the result exceeds
-    |a|_1 + sum of |c|_1 max|b| in absolute value, and the width holds that
-    bound.  memo keeps each b's packings under its key, for callers that
-    subtract the same b again; the caller decides how long it lives.
+    result are decoded, equal coefficients to one object.  No coefficient
+    of the result exceeds |a|_1 + sum of |c|_1 max|b| in absolute value,
+    and the width holds that bound.  memo keeps each b's packings under its
+    key, for callers that subtract the same b again; the caller decides how
+    long it lives.
     """
     a = Packed.of(a)
     bound, offset = a.bound, a.offset
@@ -491,7 +517,8 @@ def sh_sub_scaled(a: ShuffleElement,
         C = pack(c.c, width, offset - low)
         for w, x in ints.items():
             acc[w] = get(w, 0) - C * x
-    return {w: LaurentPoly(unpack(x, width, offset)) for w, x in acc.items() if x}
+    decode = _decoder(width, offset)
+    return {w: decode(x) for w, x in acc.items() if x}
 
 
 def q_commutator(a: ShuffleElement, b: ShuffleElement, s: int,

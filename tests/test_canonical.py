@@ -276,6 +276,31 @@ def test_pair_memo_lives_for_one_weight():
             assert sh_eq(table.char(lam), fresh.char(lam)), (weight, lam)
 
 
+def test_table_keeps_one_object_per_word_and_coefficient(tmp_path):
+    # the memo's entries share their words, which E*_lam and so the table
+    # take over; the table maps its coefficients through one dict, and a
+    # reloaded table reads equal words and coefficients into one object
+    # each, which a weight it computes afterwards shares
+    rs = RootSystem(CartanType("B", 3))
+    table = CanonicalTable(lyndon_order(rs), cache_dir=tmp_path)
+    kps = kostant_partitions((1, 2, 2), table.order)
+    for lam in kps:
+        table.pbw.proper_standard(lam)
+    words = [w for entry in rs._shuffle_pair_cache.values() for w in entry]
+    assert len({id(w) for w in words}) == len(set(words)) < len(words)
+    assert rs._shuffle_words
+    table.compute_weight((1, 2, 2))
+    assert rs._shuffle_pair_cache == rs._shuffle_words == {}
+    reloaded = CanonicalTable(table.order, cache_dir=tmp_path)
+    assert reloaded._table.keys() == set(kps)
+    assert all(sh_eq(reloaded.char(lam), table.char(lam)) for lam in kps)
+    more = kps + reloaded.compute_weight((1, 1, 2))
+    for t, lams in ((table, kps), (reloaded, more)):
+        for values in ([w for lam in lams for w in t.char(lam)],
+                       [c for lam in lams for c in t.char(lam).values()]):
+            assert len({id(x) for x in values}) == len(set(values)) < len(values)
+
+
 def test_sort_order_extends_kp_order():
     # the one correction pass relies on it: every mu < lambda sorts earlier
     for fam, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import klrchar
 from klrchar import cli, verify
+from klrchar.canonical import CanonicalTable
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.cli import main
 from klrchar.klr import KLR
@@ -297,11 +298,55 @@ def test_out_file(tmp_path, capsys):
     assert doc["count"] == 3
 
 
-def test_cache_dir(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "canonical", "--type", "G", "--rank", "2",
-                         "--cache-dir", str(tmp_path))
+def test_cache_dir(tmp_path, capsys, monkeypatch):
+    argv = ("canonical", "--type", "G", "--rank", "2", "--cache-dir", str(tmp_path))
+    code, first, _ = run_cli(capsys, *argv)
     assert code == 0
     assert list(tmp_path.glob("canonical-*.json"))
+    # the second run reads every character from the cache and computes none
+    monkeypatch.setattr(CanonicalTable, "_leclerc", None)
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert second == first
+
+
+def _corrupt(line: str, case: str) -> str:
+    """The cache line [kp, words, coeffs] with its first word or coefficient
+    [exponent, coefficient, ...] corrupted."""
+    kp, words, coeffs = json.loads(line)
+    if case == "word-of-another-weight":
+        # the same length, one letter swapped for the other label of G2
+        words[0][0] = 3 - words[0][0]
+    elif case == "exponent-repeated":
+        coeffs[0][2] = coeffs[0][0]
+    else:
+        slot, value = {"exponent-str": (0, "0"), "exponent-float": (0, 0.5),
+                       "coefficient-zero": (1, 0), "coefficient-str": (1, "1"),
+                       "coefficient-float": (1, 1.0)}[case]
+        coeffs[0][slot] = value
+    return json.dumps([kp, words, coeffs])
+
+
+@pytest.mark.parametrize("case", ["exponent-str", "exponent-float", "exponent-repeated",
+                                  "coefficient-zero", "coefficient-str",
+                                  "coefficient-float", "word-of-another-weight"])
+def test_corrupt_cache_value_is_a_miss(tmp_path, capsys, case):
+    # a corrupt value makes the whole file a miss: the table is computed
+    # again, printed as before and written back whole
+    argv = ("canonical", "--type", "G", "--rank", "2", "--cache-dir", str(tmp_path))
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    [path] = tmp_path.glob("canonical-*.json")
+    good = path.read_text()
+    lines = good.splitlines()
+    # the weight 3a1 + 2a2, whose first word has both labels
+    k = next(k for k, line in enumerate(lines) if line.startswith("[[[3, 2]]"))
+    lines[k] = _corrupt(lines[k], case)
+    path.write_text("\n".join(lines) + "\n")
+    code, second, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert second == first
+    assert path.read_text() == good
 
 
 def test_cache_dir_labels_ten_and_up(tmp_path, capsys):

@@ -205,8 +205,11 @@ def test_quantum_factors_reject_a_prime_above_the_largest_n():
 
 
 def _library_results():
-    """A B3 canonical table, the F4 solves up to the highest root and the A5
-    Gram matrix of the paper's slice, each on fresh root systems."""
+    """A B3 canonical table, written to a cache and read back, the F4 solves up
+    to the highest root and the A5 Gram matrix of the paper's slice, each on
+    fresh root systems."""
+    import tempfile
+
     from klrchar import verify
     from klrchar.canonical import CanonicalTable
     from klrchar.cartan import CartanType, RootSystem
@@ -216,13 +219,18 @@ def _library_results():
     def plain(ch):
         return {w: dict(c.c) for w, c in ch.items()}
 
-    table = CanonicalTable(lyndon_order(RootSystem(CartanType("B", 3))))
-    kps = table.compute_weight((1, 2, 2))
+    order = lyndon_order(RootSystem(CartanType("B", 3)))
+    with tempfile.TemporaryDirectory() as cache_dir:
+        table = CanonicalTable(order, cache_dir=cache_dir)
+        kps = table.compute_weight((1, 2, 2))
+        reloaded = CanonicalTable(order, cache_dir=cache_dir)
+    assert reloaded._table.keys() == set(kps)
     f4 = RootSystem(CartanType("F", 4))
     pbw = PBWCharacters(lyndon_order(f4))
     top = max(f4.positive_roots, key=sum)
     gram = verify.willcex_module().gram_matrix(verify.WILLCEX_WORD, 0)
-    return ({lam: plain(table.char(lam)) for lam in kps}, plain(pbw.dual_root(top)), gram)
+    return ({lam: plain(table.char(lam)) for lam in kps},
+            {lam: plain(reloaded.char(lam)) for lam in kps}, plain(pbw.dual_root(top)), gram)
 
 
 def test_no_library_path_writes_a_coefficient(monkeypatch):

@@ -395,9 +395,18 @@ def test_new_root_system_starts_with_empty_memos():
     pbw = PBWCharacters(lyndon_order(rs))
     for lam in kostant_partitions((1, 2, 2), pbw.order):
         pbw.proper_standard(lam)
-    assert rs._solves and rs._root_chars and rs._shuffle_pair_cache
+    assert rs._solves and rs._root_chars and rs._shuffle_pair_cache and rs._shuffle_words
     fresh = RootSystem(ct)
-    assert fresh._solves == fresh._root_chars == fresh._shuffle_pair_cache == {}
+    assert (fresh._solves == fresh._root_chars == fresh._shuffle_pair_cache
+            == fresh._shuffle_words == {})
+
+
+def test_root_character_shares_equal_coefficients():
+    # the solve decodes each distinct quotient once: the F4 highest root's
+    # character holds one coefficient object per distinct value
+    rs = RootSystem(CartanType("F", 4))
+    ch = PBWCharacters(lyndon_order(rs)).dual_root(max(rs.positive_roots, key=sum))
+    assert len({id(c) for c in ch.values()}) == len(set(ch.values())) < len(ch)
 
 
 def test_pair_memo_serves_element_shuffles_only():

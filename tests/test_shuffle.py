@@ -455,6 +455,33 @@ def test_sub_scaled_matches_laurent_arithmetic():
     assert any(len(by_width) > 1 for _, _, by_width in memo.values())
 
 
+def test_decoders_match_a_plain_unpack_and_share_equal_values(monkeypatch):
+    # div_one_minus_qk and sh_sub_scaled decode each distinct int once:
+    # word by word they return what a plain unpack of the word's int does,
+    # and equal coefficients are one object
+    rs = RootSystem(CartanType("B", 3))
+    one = LaurentPoly.one()
+    # multiples of 1 - q^2 that repeat across words, and q, which is not one
+    coeffs = [LaurentPoly({0: 1, 2: -1}) * LaurentPoly.term(n, e)
+              for n in (1, -2) for e in (-1, 0)] + [LaurentPoly.term(1, 1)]
+    packed = Packed.of({w: coeffs[k % len(coeffs)]
+                        for k, w in enumerate(words_of_weight((1, 2, 2)))})
+    a = shuffle({(1, 2): one, (2, 1): one}, {(2, 3, 3): one}, rs)
+    b = dict(shuffle({(1,): one}, {(2, 2, 3, 3): LaurentPoly.qint(2)}, rs).items())
+
+    def results():
+        return (list(packed.div_one_minus_qk(2, 1)),
+                sh_sub_scaled(a, [("b", b, LaurentPoly.term(1, 1))], {}))
+
+    quotients, diff = results()
+    monkeypatch.setattr(sh, "_decoder", lambda width, offset:
+                        lambda x: LaurentPoly(unpack(x, width, offset)))
+    assert results() == (quotients, diff)
+    assert None in dict(quotients).values()
+    for values in ([c for _, c in quotients if c is not None], list(diff.values())):
+        assert len({id(c) for c in values}) == len(set(values)) < len(values)
+
+
 def test_product_is_packed_once_for_the_chain(monkeypatch):
     # the first factor is packed at the chain's width, so no later step
     # repacks to a wider one
