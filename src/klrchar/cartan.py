@@ -91,7 +91,9 @@ class RootSystem:
         # memos of shuffle.py and pbw.py, shared by every ordering of this system
         self._shuffle_pair_cache: dict = {}  # (i, j, width, offset) -> packed i o j
         self._shuffle_words: dict = {}  # each word of the memo, one object per value
-        self._root_chars: dict = {}  # each dual root character, interned by value
+        # hash of a dual root character's items -> the characters with that
+        # hash, one object per value (pbw._intern)
+        self._root_chars: dict[int, list[dict]] = {}
         self._solves: dict[tuple[int, int], dict] = {}  # input ids -> r*_alpha
 
     def _build_cartan(self, ct: CartanType) -> tuple[tuple[int, ...], ...]:

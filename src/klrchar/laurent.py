@@ -14,7 +14,8 @@ class ExactDivisionError(ArithmeticError):
 
 
 class LaurentPoly:
-    __slots__ = ("c",)
+    # _hash is set by the first hash(); nothing writes .c once it is built
+    __slots__ = ("c", "_hash")
 
     def __init__(self, c: dict[int, int] | None = None):
         self.c = c if c is not None else {}
@@ -58,7 +59,11 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(frozenset(self.c.items()))
+            return h
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.c)

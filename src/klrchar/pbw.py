@@ -102,8 +102,18 @@ class PBWCharacters:
 
 
 def _intern(ch: ShuffleElement, rs: RootSystem) -> ShuffleElement:
-    """The one stored character of rs equal to ch; ch itself if it is new."""
-    return rs._root_chars.setdefault(frozenset(ch.items()), ch)
+    """The one stored character of rs equal to ch; ch itself if it is new.
+
+    The characters are bucketed by the hash of their items, taken from a
+    frozenset built for that one call, so no stored key copies a word and
+    coefficient pair per word; within a bucket, equality decides.
+    """
+    bucket = rs._root_chars.setdefault(hash(frozenset(ch.items())), [])
+    for other in bucket:
+        if other == ch:
+            return other
+    bucket.append(ch)
+    return ch
 
 
 def divisor(ks: Counter) -> LaurentPoly:

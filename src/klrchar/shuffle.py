@@ -38,9 +38,12 @@ changes no value, as nothing writes a LaurentPoly's `.c` once it is built
 
 `q_commutator(a, b, s) = a o b - q^s (b o a)` enumerates each pair once: by
 the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), the twisted half is the
-packed bar of each pair product.  It is the one rank-two building block:
-the solve for dual root vectors divides it, and the length-two check
-compares it with the root character it produces.
+packed bar of each pair product.  An interleaving of exponent e then adds
+q^e - q^(t - e), t = s - (|u|,|v|), which is 0 at the centre e = t / 2, so
+the pair kernel walks the centre's placements without recording them.  It
+is the one rank-two building block: the solve for dual root vectors
+divides it, and the length-two check compares it with the root character
+it produces.
 
 Only `shuffle` memoizes word-pair products, packed, in the root system's
 `_shuffle_pair_cache`, keyed by the pair, the width and the offset: the
@@ -95,7 +98,8 @@ def deg_stat(w_perm: tuple[int, ...], word: Word, rs: RootSystem) -> int:
     return total
 
 
-def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
+def _pair_shuffle(i: Word, j: Word, rs: RootSystem,
+                  skip: int | None = None) -> dict[Word, dict[int, int]]:
     """Shuffle of two single words: {word: {exponent: interleavings}}.
 
     The letters of the shorter word are placed left to right among those of
@@ -106,12 +110,18 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
     move the last letter one slot on, a swap with the letter it passes (none
     where the two are equal, as the word stays), and otherwise move an
     earlier letter on and rewrite the word's tail from slices.
+
+    A placement whose exponent is skip is walked but not recorded: it builds
+    no tuple and touches no dict, and a word with no other placement is
+    left out.  The output is the unskipped one with exponent skip removed
+    and emptied words dropped.  The q-commutator passes the centre of its
+    bar twist, where an interleaving adds 0 (`_shuffle_pass`).
     """
     B = rs.bilinear_matrix
     short, long = (i, j) if len(i) <= len(j) else (j, i)
     k, n = len(short), len(long)
     if not k:
-        return {long: {0: 1}}
+        return {} if skip == 0 else {long: {0: 1}}
     # cost[t][a]: minus the form of letter t at slot a with the letters it
     # crosses, those of j in front of a letter of i: a letter of i at slot a
     # follows j[:a], and a letter of j at slot a precedes i[a:]: prefix sums
@@ -121,6 +131,9 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
     else:
         cost = [list(accumulate([-B[x - 1][y - 1] for y in reversed(long)], initial=0))[::-1]
                 for x in short]
+    if skip is None:
+        # no exponent reaches this: int comparisons run faster than with None
+        skip = 1 + sum(max(map(abs, r)) for r in cost)
     # slot[t] for the letters but the last, whose slot is s; part[t] is the
     # exponent of the letters in front of t
     last, y, c = k - 1, short[-1], cost[-1]
@@ -130,7 +143,9 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
     word = [*short, *long]
     out: dict[Word, dict[int, int]] = {}
     get = out.get
-    d = out[tuple(word)] = {part[last] + c[0]: 1}
+    e = part[last] + c[0]
+    # d is the dict of the current word, None after a skipped placement
+    d = None if e == skip else out.setdefault(tuple(word), {e: 1})
     while True:
         if s != n:
             # the last letter passes the letter x of the longer word
@@ -139,7 +154,11 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
             s += 1
             e = part[last] + c[s]
             if x == y:
-                d[e] = d.get(e, 0) + 1
+                # the word stays; d is stale if its last placement was skipped
+                if e != skip:
+                    if d is None:
+                        d = out.setdefault(tuple(word), {})
+                    d[e] = d.get(e, 0) + 1
                 continue
             word[p], word[p + 1] = x, y
         else:
@@ -156,6 +175,9 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]
             for r in range(t, last):
                 part[r + 1] = part[r] + cost[r][s]
             e = part[last] + c[s]
+        if e == skip:
+            d = None
+            continue
         w = tuple(word)
         d = get(w)
         if d is None:
@@ -383,10 +405,13 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     q^e - q^(t - e) at its word, t = s - (|u|,|v|); packed, that is D[e]
     of a row D built once per pair of weights, and a word's coefficient in
     the pair is the sum of n D[e] over its exponents e of n interleavings,
-    one plain loop.  Most words of a rank-two solve cancel inside their
-    pair, their exponents symmetric about t / 2; a word whose sum is 0 is
-    never added.  Only the whole sum decides: an interleaving at the centre
-    e = t / 2 adds 0, and its word's other interleavings may not.
+    one plain loop.  D[e] is 0 at the centre e = t / 2, so the kernel is
+    given the centre (None when t is odd) and records no placement there.
+    That is exact: it drops only zero terms from the sums, and a word with
+    every interleaving at the centre would sum to 0.  Many other words of a
+    rank-two solve cancel inside their pair, their exponents symmetric about
+    t / 2; a word whose sum is 0 is never added.  Only the whole sum
+    decides: a word with one interleaving at the centre may have others.
     """
     B = rs.bilinear_matrix
     twist = s is not None
@@ -412,21 +437,22 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     if twist:
         # per pair of weights, D[e] = X^(e + top) - X^(t - e + top), X = 2^width:
         # the twisted exponent is t - e, t = s - (|u|,|v|), and both slots
-        # are non-negative; D[e] is 0 at the centre e = t / 2.  A negative e
-        # indexes D from its end
+        # are non-negative; D[e] is 0 at the centre e = t / 2, which the
+        # kernel skips (None when t is odd).  A negative e indexes D from its end
         rows = {}
         for key, (pos, neg, _) in forms.items():
             t = s - pos + neg
-            rows[key] = [(1 << width * (e + top)) - (1 << width * (t - e + top))
-                         for e in [*range(neg + 1), *range(-pos, 0)]]
+            rows[key] = ([(1 << width * (e + top)) - (1 << width * (t - e + top))
+                          for e in [*range(neg + 1), *range(-pos, 0)]],
+                         None if t % 2 else t // 2)
     acc: dict[Word, int] = {}
     get = acc.get
     for u, A in pa.ints.items():
         for v, Bv in pb.ints.items():
             AB = A * Bv
             if twist:
-                D = rows[ka[u], kb[v]]
-                for word, exps in _pair_shuffle(u, v, rs).items():
+                D, centre = rows[ka[u], kb[v]]
+                for word, exps in _pair_shuffle(u, v, rs, centre).items():
                     T = 0
                     for e, n in exps.items():
                         T += n * D[e]

@@ -204,6 +204,16 @@ def test_quantum_factors_reject_a_prime_above_the_largest_n():
     assert quantum_factors(LaurentPoly.qint(13) * LaurentPoly.qint(2)) is None
 
 
+def test_hash_is_cached_and_equal_polynomials_hash_equal():
+    a = LaurentPoly({-1: 2, 3: -1})
+    b = LaurentPoly({3: -1, -1: 2})
+    first = hash(a)
+    # b's hash is computed, a's read back from its slot
+    assert hash(b) == first == hash(a)
+    assert hash(LaurentPoly({})) == hash(LaurentPoly.zero())
+    assert len({a, b, LaurentPoly({-1: 2})}) == 2
+
+
 def _library_results():
     """A B3 canonical table, written to a cache and read back, the F4 solves up
     to the highest root and the A5 Gram matrix of the paper's slice, each on

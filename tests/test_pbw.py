@@ -401,6 +401,21 @@ def test_new_root_system_starts_with_empty_memos():
             == fresh._shuffle_words == {})
 
 
+def test_intern_tells_apart_characters_under_one_hash_key():
+    # characters are bucketed by the hash of their items; a different
+    # character planted in ch's bucket is passed over, not returned
+    rs = RootSystem(CartanType("A", 2))
+    ch = {(1, 2): LaurentPoly({0: 1}), (2, 1): LaurentPoly({-1: 1})}
+    other = {(1, 2): LaurentPoly({0: 1})}
+    key = hash(frozenset(ch.items()))
+    rs._root_chars[key] = [other]
+    assert pbw_mod._intern(ch, rs) is ch
+    # an equal character with its own words and coefficients is the stored one
+    copy = {tuple(w): LaurentPoly(dict(c.c)) for w, c in ch.items()}
+    assert pbw_mod._intern(copy, rs) is ch
+    assert rs._root_chars[key] == [other, ch] and rs._root_chars[key][0] is other
+
+
 def test_root_character_shares_equal_coefficients():
     # the solve decodes each distinct quotient once: the F4 highest root's
     # character holds one coefficient object per distinct value

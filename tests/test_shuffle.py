@@ -310,6 +310,35 @@ def test_pair_shuffle_keeps_the_letter_by_letter_order(fam, rank):
                 assert got == want, (i, j)
 
 
+@pytest.mark.parametrize("fam,rank", KERNEL_TYPES)
+def test_pair_shuffle_skips_exactly_one_exponent(fam, rank):
+    # for every exponent of the pair, one past either end and None, the
+    # skipping kernel gives the full output with that exponent removed and
+    # emptied words dropped
+    rs = RootSystem(CartanType(fam, rank))
+    rng = random.Random(47)
+    for m in range(7):
+        for n in range(7):
+            for letters in (2, rank):
+                i = tuple(rng.randint(1, letters) for _ in range(m))
+                j = tuple(rng.randint(1, letters) for _ in range(n))
+                full = sh._pair_shuffle(i, j, rs)
+                exps = {e for d in full.values() for e in d}
+                for skip in [None, *range(min(exps) - 1, max(exps) + 2)]:
+                    want = {w: kept for w, d in full.items()
+                            if (kept := {e: k for e, k in d.items() if e != skip})}
+                    assert sh._pair_shuffle(i, j, rs, skip) == want, (i, j, skip)
+
+
+def test_pair_shuffle_records_an_equal_letter_after_a_skipped_placement():
+    # 1 o 121 in A2: the first placement, 1121 at e = 0, is skipped; the next
+    # passes an equal letter, so the word stays and its e = -2 must still be
+    # recorded although no dict was fetched for it
+    rs = RootSystem(CartanType("A", 2))
+    assert sh._pair_shuffle((1,), (1, 2, 1), rs, 0) == {
+        (1, 1, 2, 1): {-2: 1}, (1, 2, 1, 1): {-1: 1, -3: 1}}
+
+
 def test_q_commutator_keeps_a_word_with_one_interleaving_at_the_centre():
     # 1 o 1 = (1 + q^-2) 11 in A2; with s = 2 the twisted exponent of e is
     # s - (a_1, a_1) - e = -e, so the interleaving at e = 0 cancels against
