@@ -118,8 +118,7 @@ def _factorer(rs: RootSystem):
 
 
 def _series_json(num: LaurentPoly, den: LaurentPoly, trunc: int) -> dict:
-    coeff = series(num, den, trunc)
-    return {"trunc": trunc, "coeff": {str(e): coeff[e] for e in sorted(coeff)}}
+    return {"trunc": trunc, "coeff": LaurentPoly(series(num, den, trunc)).to_json()}
 
 
 def _char_line(head: str, ch, factor) -> str:
@@ -474,9 +473,11 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as e:
         return _fail(str(e))
     except Exception as e:
-        # anything else is unexpected: its traceback goes to stderr, and
-        # stdout still gets the error document
-        traceback.print_exc()
+        # anything else but exhausted memory or recursion depth is
+        # unexpected: its traceback goes to stderr, and stdout still gets
+        # the error document
+        if not isinstance(e, (MemoryError, RecursionError)):
+            traceback.print_exc()
         return _fail(f"{type(e).__name__}: {e}" if str(e) else type(e).__name__)
 
 

@@ -172,57 +172,58 @@ class ProperStandard:
 
     # -- reduction to the standard basis ---------------------------------------
 
-    def _reduce_term(self, coeff: int, exps, u: Perm, words, out: dict):
-        if not coeff:
-            return
-        u1, local = self.block_factorize(u)
-        jword = self.concat(words)
-        if local:
-            # tau_{u1} tau_{u2} = tau_u + lower terms, and tau_{u2} acts on the tensor;
-            # rw, canon(u1) then the blocks' local words, is a reduced word of u
-            rw = canon_word(u1)
-            w2 = list(words)
-            for t, cw in local.items():
-                rw += tuple(self.offsets[t] + c for c in cw)
-                for c in reversed(cw):
-                    if w2[t] is not None:
-                        w2[t] = self.reps[t].tau(c, w2[t])
-            E = self.engine.word_to_normal(rw, u, jword)
-            lead = (jword, u, self.engine.zeros(self.n))
-            if E.get(lead) != 1:
-                raise AssertionError("coset rewriting lost its leading term")
-            if None not in w2:
-                self._reduce_term(coeff, exps, u1, tuple(w2), out)
-            for (iw, wv, b), c in E.items():
-                if (iw, wv, b) == lead:
-                    continue
-                b2 = tuple(x + y for x, y in zip(exps, b))
-                self._reduce_term(-coeff * c, b2, wv, words, out)
-            return
-        if any(exps):
-            # push the leftmost x factor through the crossings; survivors die
-            p = next(t for t, e in enumerate(exps) if e)
-            exps2 = list(exps)
-            exps2[p] -= 1
-            exps2 = tuple(exps2)
-            cw = canon_word(u)
-            pos = p
-            for idx, c in enumerate(cw):
-                if pos == c or pos == c + 1:
-                    # a suffix of a canonical word is canonical, so its tau
-                    # product on 1_jword is the monomial of its permutation v
-                    v = perm_of_word(cw[idx + 1:], self.n)
-                    jrest = apply_perm_word(v, jword)
-                    if jrest[c] == jrest[c + 1]:
-                        sign = -1 if pos == c else 1
-                        sub = self.engine.apply_tau_word(
-                            cw[:idx], self.engine.monomial(jword, v))
-                        for (iw, wv, b), cc in sub.items():
-                            b2 = tuple(x + y for x, y in zip(exps2, b))
-                            self._reduce_term(sign * coeff * cc, b2, wv, words, out)
-                    pos = c + 1 if pos == c else c
-            return
-        add_into(out, (u, tuple(words)), coeff)
+    def _reduce(self, todo: list, out: dict) -> dict:
+        """Add each term (coeff, exps, u, words) of the work list todo, that is
+        coeff x^exps tau_u (x) words, into out in the standard basis; return out."""
+        while todo:
+            coeff, exps, u, words = todo.pop()
+            u1, local = self.block_factorize(u)
+            jword = self.concat(words)
+            if local:
+                # tau_{u1} tau_{u2} = tau_u + lower terms, and tau_{u2} acts on the tensor;
+                # rw, canon(u1) then the blocks' local words, is a reduced word of u
+                rw = canon_word(u1)
+                w2 = list(words)
+                for t, cw in local.items():
+                    rw += tuple(self.offsets[t] + c for c in cw)
+                    for c in reversed(cw):
+                        if w2[t] is not None:
+                            w2[t] = self.reps[t].tau(c, w2[t])
+                E = self.engine.word_to_normal(rw, u, jword)
+                lead = (jword, u, self.engine.zeros(self.n))
+                if E.get(lead) != 1:
+                    raise AssertionError("coset rewriting lost its leading term")
+                if None not in w2:
+                    todo.append((coeff, exps, u1, tuple(w2)))
+                lower = [(-coeff, exps, E)]
+            elif any(exps):
+                # push the leftmost x factor through the crossings; survivors die
+                p = next(t for t, e in enumerate(exps) if e)
+                exps2 = list(exps)
+                exps2[p] -= 1
+                exps2 = tuple(exps2)
+                cw = canon_word(u)
+                pos = p
+                lead = None
+                lower = []
+                for idx, c in enumerate(cw):
+                    if pos == c or pos == c + 1:
+                        # a suffix of a canonical word is canonical, so its tau
+                        # product on 1_jword is the monomial of its permutation v
+                        v = perm_of_word(cw[idx + 1:], self.n)
+                        jrest = apply_perm_word(v, jword)
+                        if jrest[c] == jrest[c + 1]:
+                            sub = self.engine.apply_tau_word(
+                                cw[:idx], self.engine.monomial(jword, v))
+                            lower.append((-coeff if pos == c else coeff, exps2, sub))
+                        pos = c + 1 if pos == c else c
+            else:
+                add_into(out, (u, words), coeff)
+                continue
+            todo += [(sign * c, tuple(x + y for x, y in zip(shift, b)), wv, words)
+                     for sign, shift, elem in lower
+                     for (iw, wv, b), c in elem.items() if (iw, wv, b) != lead]
+        return out
 
     # -- action -----------------------------------------------------------------
 
@@ -236,29 +237,24 @@ class ProperStandard:
         """tau_k on one standard basis vector, in the standard basis.
 
         The image is looked up in, or stored into, the module's table, so
-        every Gram matrix and action straightens it once; _reduce_term is
-        linear in its coefficient, so an image is stored for coefficient 1
-        and scaled by act_tau.
+        every Gram matrix and action straightens it once; _reduce is linear
+        in the coefficients, so an image is stored for coefficient 1 and
+        scaled by act_tau.
         """
         hit = self._images.get((k, basis_vec))
         if hit is not None:
             return hit
         u, words = basis_vec
-        image: dict = {}
         E = self.engine.tau_times_perm(k, u, self.concat(words))
-        for (iw, wv, b), c in E.items():
-            self._reduce_term(c, b, wv, words, image)
+        image = self._reduce([(c, b, wv, words) for (_, wv, b), c in E.items()], {})
         self._images[(k, basis_vec)] = image
         return image
 
     def act_x(self, p: int, vec: dict) -> dict:
-        out: dict = {}
-        zero = self.engine.zeros(self.n)
-        for (u, words), c in vec.items():
-            exps = list(zero)
-            exps[p] += 1
-            self._reduce_term(c, tuple(exps), u, words, out)
-        return out
+        exps = list(self.engine.zeros(self.n))
+        exps[p] += 1
+        exps = tuple(exps)
+        return self._reduce([(c, exps, u, words) for (u, words), c in vec.items()], {})
 
     def act_word(self, taus, vec: dict) -> dict:
         """Apply tau generators right-to-left (0-based positions)."""

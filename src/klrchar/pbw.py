@@ -40,8 +40,8 @@ from .cartan import Root, RootSystem, p_max
 from .convex import ConvexOrder, Word, mp_choice
 from .kostant import KP, kostant_partitions, kp_scalars
 from .laurent import ExactDivisionError, LaurentPoly
-from .shuffle import (Packed, ShuffleElement, q_commutator, sh_dim, sh_word, shuffle,
-                      shuffle_letters, word_weight, words_of_weight)
+from .shuffle import (Packed, ShuffleElement, drop_pair_memo, q_commutator, sh_dim, sh_word,
+                      shuffle, shuffle_letters, word_weight, words_of_weight)
 
 
 class PBWCharacters:
@@ -179,4 +179,5 @@ def dim_formula(weight,
     for lam in kps:
         dbar = sh_dim(pbw.proper_standard(lam))
         rhs = rhs + dbar * dbar * divisor(common - standard_factors(lam, rs))
+    drop_pair_memo(rs)
     return lhs, rhs, divisor(common)

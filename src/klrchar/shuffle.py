@@ -67,7 +67,6 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Mapping
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 
@@ -206,11 +205,12 @@ def _memo_pair_shuffle(i: Word, j: Word, rs: RootSystem, width: int,
 def drop_pair_memo(rs: RootSystem) -> None:
     """Empty the root system's word-pair memo and its word dict.
 
-    A canonical table calls this when it has finished a weight, so the memo
-    lives for one weight's products.  Their pairs recur among that weight's
-    partitions; kept longer, the memo grows with every weight.  The memo
-    belongs to the root system, so every table on it loses the pairs and
-    recomputes them when it meets them again; no result changes.
+    A canonical table, and pbw.dim_formula, call this when they have
+    finished a weight, so the memo lives for one weight's products.  Their
+    pairs recur among that weight's partitions; kept longer, the memo grows
+    with every weight.  The memo belongs to the root system, so everything
+    on it loses the pairs and recomputes them when it meets them again; no
+    result changes.
     """
     rs._shuffle_pair_cache.clear()
     rs._shuffle_words.clear()
@@ -240,7 +240,6 @@ def pack(c: dict[int, int], width: int, offset: int) -> int:
 _ITEM_CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
-@lru_cache(maxsize=256)
 def _bias(width: int, slots: int) -> int:
     """2^(width - 1) in each of the given number of slots."""
     return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")

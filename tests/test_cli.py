@@ -491,14 +491,30 @@ def test_malformed_eps_named(capsys, eps):
 
 
 def test_any_exception_becomes_error_document(capsys, monkeypatch):
-    def out_of_memory(args, rs):
-        raise MemoryError
+    # an unexpected exception also prints its traceback on stderr
+    def lookup_fails(args, rs):
+        raise KeyError("gone")
 
-    monkeypatch.setitem(cli.COMMANDS, "pbw-char", out_of_memory)
+    monkeypatch.setitem(cli.COMMANDS, "pbw-char", lookup_fails)
     code, out, err = run_cli(capsys, "pbw-char", "--type", "E", "--rank", "8")
     assert code == 1
-    assert json.loads(out) == {"error": "MemoryError"}
-    assert "MemoryError" in err
+    assert json.loads(out) == {"error": "KeyError: 'gone'"}
+    assert "Traceback" in err and "KeyError" in err
+
+
+@pytest.mark.parametrize("exc,doc", [
+    (MemoryError, {"error": "MemoryError"}),
+    (RecursionError("maximum recursion depth exceeded"),
+     {"error": "RecursionError: maximum recursion depth exceeded"})])
+def test_exhausted_resources_print_no_traceback(capsys, monkeypatch, exc, doc):
+    def exhausted(args, rs):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "pbw-char", exhausted)
+    code, out, err = run_cli(capsys, "pbw-char", "--type", "E", "--rank", "8")
+    assert code == 1
+    assert json.loads(out) == doc
+    assert "Traceback" not in err
 
 
 def test_budget_refusal_prints_no_traceback(capsys, monkeypatch):

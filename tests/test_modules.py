@@ -480,9 +480,7 @@ def entrywise_gram(M, word, degree):
         jword = M.concat(words)
         # act_transposed_word applies canon_word(u2) left to right
         E = M.engine.apply_tau_word(canon_word(u2)[::-1], M.engine.monomial(jword, u1))
-        vec: dict = {}
-        for (_, w, exps), c in E.items():
-            M._reduce_term(c, exps, w, words, vec)
+        vec = M._reduce([(c, exps, w, words) for (_, w, exps), c in E.items()], {})
         return M.pair_cyclicward(vec, w2)
 
     return [[pair(r, c) for c in cols] for r in rows]

@@ -171,6 +171,18 @@ def test_dim_formula_common_multiple():
     assert lhs == rhs == LaurentPoly({0: 1, -2: 1}) * d2
 
 
+def test_dim_formula_drops_the_pair_memo():
+    # like a canonical table, dim_formula keeps the word-pair memo for one
+    # weight's products and leaves it empty
+    rs, o, pbw = setup_type("B", 3)
+    weight = (1, 2, 2)
+    lam = next(lam for lam in kostant_partitions(weight, o) if len(lam) > 2)
+    pbw.proper_standard(lam)
+    assert rs._shuffle_pair_cache and rs._shuffle_words
+    dim_formula(weight, pbw)
+    assert rs._shuffle_pair_cache == rs._shuffle_words == {}
+
+
 def test_restriction_vanishing_and_top():
     # res to mu of the lambda product: zero unless mu <= lambda, and at
     # lambda equal to [lambda]! times the product of part characters
