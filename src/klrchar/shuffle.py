@@ -40,10 +40,12 @@ changes no value, as nothing writes a LaurentPoly's `.c` once it is built
 the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), the twisted half is the
 packed bar of each pair product.  An interleaving of exponent e then adds
 q^e - q^(t - e), t = s - (|u|,|v|), which is 0 at the centre e = t / 2, so
-the pair kernel walks the centre's placements without recording them.  It
-is the one rank-two building block: the solve for dual root vectors
-divides it, and the length-two check compares it with the root character
-it produces.
+the pair kernel walks the centre's placements without recording them.  A
+pair with a one-letter word takes no pair product: the letter is inserted
+slot by slot, the step Leclerc's quantum-shuffle construction of dual PBW
+bases iterates.  It is the one rank-two building block: the solve for dual
+root vectors divides it, and the length-two check compares it with the
+root character it produces.
 
 Only `shuffle` memoizes word-pair products, packed, in the root system's
 `_shuffle_pair_cache`, keyed by the pair, the width and the offset: the
@@ -67,8 +69,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Mapping
+from functools import reduce
 from itertools import accumulate
 from math import comb, factorial
+from operator import or_
 
 from .cartan import RootSystem
 from .convex import Word
@@ -411,6 +415,12 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     rank-two solve cancel inside their pair, their exponents symmetric about
     t / 2; a word whose sum is 0 is never added.  Only the whole sum
     decides: a word with one interleaving at the centre may have others.
+
+    A pair in which u or v is one letter x takes the letter path: x goes
+    into each slot t of the other word w, crossing w[:t] when it is u and
+    w[t:] when it is v, its exponent one running sum.  The slots of a run
+    of x give one word: D is summed over the run, and the word is built
+    only if the sum is not 0.  D is 0 at the centre, so it is added there.
     """
     B = rs.bilinear_matrix
     twist = s is not None
@@ -434,23 +444,41 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     # e >= -pos, and the twisted t - e >= s - pos
     top = max(pos for pos, _, _ in forms.values()) + (max(0, -s) if twist else 0)
     if twist:
-        # per pair of weights, D[e] = X^(e + top) - X^(t - e + top), X = 2^width:
-        # the twisted exponent is t - e, t = s - (|u|,|v|), and both slots
-        # are non-negative; D[e] is 0 at the centre e = t / 2, which the
-        # kernel skips (None when t is odd).  A negative e indexes D from its end
+        # per pair of weights, D[e] = X^(e + top) - X^(t - e + top), X = 2^width,
+        # the centre and (|u|,|v|): the twisted exponent is t - e, t = s - (|u|,|v|),
+        # and both slots are non-negative; D[e] is 0 at the centre e = t / 2, which
+        # the pair kernel skips (None when t is odd).  A negative e indexes D from its end
         rows = {}
         for key, (pos, neg, _) in forms.items():
             t = s - pos + neg
             rows[key] = ([(1 << width * (e + top)) - (1 << width * (t - e + top))
                           for e in [*range(neg + 1), *range(-pos, 0)]],
-                         None if t % 2 else t // 2)
+                         None if t % 2 else t // 2, pos - neg)
+        negB = [[-c for c in r] for r in B]
     acc: dict[Word, int] = {}
     get = acc.get
     for u, A in pa.ints.items():
         for v, Bv in pb.ints.items():
             AB = A * Bv
             if twist:
-                D, centre = rows[ka[u], kb[v]]
+                D, centre, uv = rows[ka[u], kb[v]]
+                if len(u) == 1 or len(v) == 1:
+                    # at slot t the letter crosses w[:t] as u, w[t:] as v;
+                    # its exponent, minus its form with them, is a running sum
+                    if len(u) == 1:
+                        letter, w, e, row = u, v, 0, negB[u[0] - 1]
+                    else:
+                        letter, w, e, row = v, u, -uv, B[v[0] - 1]
+                    x, T = letter[0], 0
+                    # a run of x is one word; the 0 appended to w ends the last
+                    for t, y in enumerate((*w, 0)):
+                        T += D[e]
+                        if T and y != x:
+                            word = w[:t] + letter + w[t:]
+                            acc[word] = get(word, 0) + T * AB
+                            T = 0
+                        e += row[y - 1]
+                    continue
                 for word, exps in _pair_shuffle(u, v, rs, centre).items():
                     T = 0
                     for e, n in exps.items():
@@ -464,7 +492,8 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
                     acc[word] = get(word, 0) + P * AB
     ints = {w: x for w, x in acc.items() if x}
     # the slots below every word's lowest term are empty: shift them out
-    low = min(((x & -x).bit_length() - 1 for x in ints.values()), default=0) // width
+    bits = reduce(or_, ints.values(), 0)
+    low = ((bits & -bits).bit_length() - 1) // width if bits else 0
     if low:
         ints = {w: x >> width * low for w, x in ints.items()}
     return Packed(ints, width, pa.offset + pb.offset + top - low, bound)

@@ -295,6 +295,33 @@ def test_gram_rank_matches_simple_character_a3():
                 assert rank_over(G, 0) == want, (lam, word)
 
 
+def test_gram_ranks_where_cuspidal_words_move_inside_a_block():
+    # D4's cuspidal words 243 and 1243 commute to 234 and 1234, so tau acts
+    # inside their blocks by a swap, the term _reduce keeps as (u1, w2)
+    from klrchar.canonical import CanonicalTable
+
+    rs, o, H, pbw = setup_module_env("D", 4)
+    M = ProperStandard(H, o, ((1, 1, 1, 1),), pbw)
+    v = M.cyclic()
+    swapped = {((0, 1, 2, 3), ((1, 2, 3, 4),)): 1}
+    assert M.act_tau(2, v) == swapped and M.act_tau(2, swapped) == v
+    assert M.act_tau(0, v) == M.act_tau(1, v) == {}
+    # the rank of each word's pairing between the degree d and -d slices is
+    # the q^d coefficient of the simple character, the dual canonical one;
+    # the second partition has equal parts
+    table = CanonicalTable(o, pbw)
+    checked = 0
+    for lam in (((0, 1, 1, 1), (1, 1, 1, 1)), ((0, 1, 1, 1), (0, 1, 1, 1), (1, 0, 0, 0))):
+        M = ProperStandard(H, o, lam, pbw)
+        simple = table.char(lam)
+        for word, coeff in pbw.proper_standard(lam).items():
+            for d in coeff.c:
+                want = simple.get(word, LaurentPoly.zero()).c.get(d, 0)
+                assert rank_over(M.gram_matrix(word, d), 0) == want, (lam, word, d)
+                checked += 1
+    assert checked == 454
+
+
 def test_empty_slice_gram():
     rs, o, H, pbw = setup_module_env("A", 2)
     M = ProperStandard(H, o, ((0, 1), (1, 0)), pbw)

@@ -360,6 +360,103 @@ def test_q_commutator_keeps_a_word_with_one_interleaving_at_the_centre():
                              sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, 3))))
 
 
+# -- the q-commutator's letter path ------------------------------------------------
+
+LETTER_PATH_TYPES = [("A", 2), ("B", 3), ("G", 2), ("F", 4)]
+
+
+def twisted_oracle(a, b, s, rs):
+    """a o b - q^s (b o a) from two element shuffles, which never take the letter path."""
+    return sh_sub(shuffle(a, b, rs), sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, s)))
+
+
+def general_kernel_order(a, b, s, rs):
+    """The words of a o b - q^s (b o a) in the order the general kernel adds
+    them: pair by pair, each at the first pair in which its sum is not 0."""
+    acc = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            t = s - rs.form(word_weight(u, rs), word_weight(v, rs))
+            for w, exps in sh._pair_shuffle(u, v, rs).items():
+                T = sum((LaurentPoly.term(n, e) - LaurentPoly.term(n, t - e)
+                         for e, n in exps.items()), LaurentPoly.zero())
+                if T:
+                    acc[w] = acc.get(w, LaurentPoly.zero()) + T * cu * cv
+    return [w for w, c in acc.items() if c]
+
+
+def _letter_operands(rng, rank):
+    """One letter x with a coefficient other than 1, and an element mixing
+    the empty word, one-letter words and longer words with runs of x."""
+    x = rng.randint(1, rank)
+    letter = {(x,): LaurentPoly({-1: 2, rng.randint(0, 3): rng.choice((-3, 1))})}
+    other = {(): LaurentPoly.term(rng.choice((-1, 2)))}
+    for _ in range(4):
+        w = tuple(x if rng.random() < 0.5 else rng.randint(1, rank)
+                  for _ in range(rng.randint(1, 5)))
+        other[w] = LaurentPoly.term(rng.choice((-2, -1, 1, 3)), rng.randint(-2, 2))
+    return letter, other
+
+
+@pytest.mark.parametrize("fam,rank", LETTER_PATH_TYPES)
+def test_letter_path_matches_the_two_shuffles(fam, rank):
+    # the letter first, last and on both sides, beside runs of itself, for
+    # every s that puts the centre at, inside or beside those runs
+    rs = RootSystem(CartanType(fam, rank))
+    rng = random.Random(53)
+    for _ in range(5):
+        letter, other = _letter_operands(rng, rank)
+        for s in range(-6, 7):
+            for a, b in ((letter, other), (other, letter), (letter, letter)):
+                got = q_commutator(a, b, s, rs)
+                assert sh_eq(got, twisted_oracle(a, b, s, rs)), (a, b, s)
+                assert all(got.values())
+                assert list(got) == general_kernel_order(a, b, s, rs), (a, b, s)
+
+
+def test_letter_path_folds_a_run_around_the_centre():
+    # 1 into 112 in A2: slots 0-2 give 1112 at exponents 0, -2, -4, slot 3
+    # gives 1121 at -3, and t = s - (a_1, 2a_1 + a_2) = s - 3
+    rs = RootSystem(CartanType("A", 2))
+    a, b = sh_word((1,)), sh_word((1, 1, 2))
+    # s = -1: the centre -2 is inside the run and its ends cancel, so 1112,
+    # whose first slot alone is not 0, is never added
+    assert q_commutator(a, b, -1, rs) == {(1, 1, 2, 1): LaurentPoly({-3: 1, -1: -1})}
+    # s = 3: the centre 0 is the run's first slot
+    assert q_commutator(a, b, 3, rs) == {
+        (1, 1, 1, 2): LaurentPoly({-4: 1, -2: 1, 2: -1, 4: -1}),
+        (1, 1, 2, 1): LaurentPoly({-3: 1, 3: -1})}
+    for s in (-1, 3):
+        for x, y in ((a, b), (b, a)):
+            assert sh_eq(q_commutator(x, y, s, rs), twisted_oracle(x, y, s, rs))
+    # a word that cancels inside its run is never added, not even as 0, so
+    # 1112 takes its place from the later pair (), 1112, as in the general kernel
+    one = LaurentPoly.one()
+    a2, b2 = {(1,): one, (): one}, {(1, 1, 2): one, (1, 1, 1, 2): one}
+    assert list(q_commutator(a2, b2, -1, rs)) == general_kernel_order(a2, b2, -1, rs) == [
+        (1, 1, 2, 1), (1, 1, 1, 2, 1), (1, 1, 2), (1, 1, 1, 2)]
+    # with the empty word the letter has one slot, at exponent 0 = t / 2 when s = 0
+    assert q_commutator({(): LaurentPoly.term(3)}, a, 0, rs) == {}
+    assert q_commutator(a, {(): LaurentPoly.term(3)}, 2, rs) == {
+        (1,): LaurentPoly({0: 3, 2: -3})}
+
+
+def test_kernel_shifts_out_exactly_the_empty_low_slots():
+    # every result's lowest occupied slot is slot 0, read by the generator
+    # over each word's lowest set bit; packed ints of both signs occur
+    rng = random.Random(59)
+    signs = set()
+    for fam, rank in LETTER_PATH_TYPES:
+        rs = RootSystem(CartanType(fam, rank))
+        for _ in range(8):
+            a, b = _signed_element(rng, rank), _signed_element(rng, rank)
+            for got in (shuffle(a, b, rs), q_commutator(a, b, rng.randint(-4, 4), rs)):
+                if got.ints:
+                    assert min((x & -x).bit_length() - 1 for x in got.ints.values()) < got.width
+                    signs |= {x > 0 for x in got.ints.values()}
+    assert signs == {False, True}
+
+
 # -- the packed kernel against the brute-force oracle -------------------------------
 
 def oracle_product(a, b, rs):
