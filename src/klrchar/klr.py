@@ -3,13 +3,21 @@
 Elements are sparse integer combinations of basis monomials
 x^k tau_w 1_i, keyed by (right idempotent word, permutation, exponent
 vector).  The permutation's tau-product is taken along its canonical
-reduced word (repeatedly extract the smallest left descent).
+reduced word (repeatedly extract the smallest left descent).  Canonical
+words are bytes, one 0-based letter per byte, and so are the keys of
+their module-level cache; this caps permutations at MAX_STRANDS strands.
 
 Left multiplication by a single generator is the primitive everything else
 reduces to.  Multiplying tau_k onto tau_w with k an ascent rewrites the
 word (k) + canon(w) into canonical form; each braid move emits correction
 terms with strictly fewer crossings, so the recursion is well founded.
 Descents go through the quadratic relation.
+
+KLR._ttp memoizes the generator products that cost straightening: the
+descents, and the ascents whose word (k) + canon(w) is not canonical.  An
+ascent whose word is canonical is the unit monomial of s_k w, found from
+canon(w) alone, and is never stored; such ascents are most of the products
+a Gram matrix asks for, and few of them are asked for twice.
 
 Positions are 0-based internally (tau_k crosses strands k and k+1,
 0 <= k <= n-2); words are tuples of 1-based node labels.
@@ -24,7 +32,11 @@ Perm = tuple[int, ...]
 Monomial = tuple  # (word, perm, exps)
 Element = dict  # Monomial -> int
 
-_CANON_CACHE: dict[Perm, tuple[int, ...]] = {}
+# bytes(w) -> canonical word of w, both one byte per entry
+_CANON_CACHE: dict[bytes, bytes] = {}
+
+# a permutation's entries 0..n-1 are the bytes of its cache key
+MAX_STRANDS = 256
 
 
 # -- permutation helpers -----------------------------------------------------
@@ -54,12 +66,19 @@ def perm_of_word(seq, n: int) -> Perm:
     return tuple(w)
 
 
-def canon_word(w: Perm) -> tuple[int, ...]:
-    """Canonical reduced word: repeatedly extract the smallest left descent."""
-    hit = _CANON_CACHE.get(w)
+def canon_word(w: Perm) -> bytes:
+    """Canonical reduced word: repeatedly extract the smallest left descent.
+
+    The word is bytes, one 0-based letter per byte.
+    """
+    if len(w) > MAX_STRANDS:
+        raise ValueError(f"a permutation of {len(w)} strands is over the limit of "
+                         f"{MAX_STRANDS} strands that canonical words are kept for")
+    key = bytes(w)
+    hit = _CANON_CACHE.get(key)
     if hit is not None:
         return hit
-    out = []
+    out = bytearray()
     n = len(w)
     pos = [0] * n
     for k, v in enumerate(w):
@@ -75,8 +94,7 @@ def canon_word(w: Perm) -> tuple[int, ...]:
         pos[k], pos[k + 1] = pos[k + 1], pos[k]
         if k:
             k -= 1
-    res = tuple(out)
-    _CANON_CACHE[w] = res
+    res = _CANON_CACHE[key] = bytes(out)
     return res
 
 
@@ -232,20 +250,38 @@ class KLR:
         return self._guard(out)
 
     def tau_times_perm(self, k: int, w: Perm, i) -> Element:
-        """Normal form of tau_k tau_w 1_i (tau_w the canonical monomial)."""
+        """Normal form of tau_k tau_w 1_i (tau_w the canonical monomial).
+
+        When k is an ascent of w and the smallest left descent of s_k w, the
+        word (k,) + canon(w) is canonical and the product is the unit monomial
+        of s_k w.  It is built afresh on each call and never stored: such
+        products are most of those a Gram matrix asks for, the memo would
+        hold one monomial for each, and few are asked for twice.  Every other
+        product is memoized in self._ttp and shared between callers, so it
+        is read-only.
+        """
+        p, q = w.index(k), w.index(k + 1)
+        if p < q:
+            # ascent: (k,) + canon(w) is a reduced word of s_k w.  A suffix of
+            # a canonical word is canonical, so canon(s_k w) starts with k
+            # exactly when it is that word.  No j < k - 1 is a left descent of
+            # s_k w when none is one of w, and k - 1 is not one when k - 1
+            # stands left of k + 1 in w (k + 1's place holds k in s_k w)
+            cw = canon_word(w)
+            if (not cw or cw[0] >= k - 1) and (k == 0 or w.index(k - 1) < q):
+                v = list(w)
+                v[p], v[q] = k + 1, k  # s_k w
+                return {(i, tuple(v), self.zeros(len(w))): 1}
         key = (k, w, i)
         hit = self._ttp.get(key)
         if hit is not None:
             return hit
-        if w.index(k) < w.index(k + 1):
-            # ascent: (k,) + canon(w) is a reduced word of s_k w.  A suffix of
-            # a canonical word is canonical, so canon(s_k w) starts with k
-            # exactly when it is that word, and word_to_normal tests that
-            out = self.word_to_normal((k,) + canon_word(w), swap_values(w, k), i)
+        w2 = swap_values(w, k)
+        if p < q:
+            out = self.word_to_normal(bytes((k,)) + cw, w2, i)
         else:
             # descent: tau_k tau_w = tau_k^2 tau_{w'} - tau_k C  where
             # tau_k tau_{w'} = tau_w + C and w' = s_k w
-            w2 = swap_values(w, k)
             E = self.tau_times_perm(k, w2, i)
             C = dict(E)
             lead = (tuple(i), w, self.zeros(len(w)))
@@ -260,9 +296,10 @@ class KLR:
         self._ttp[key] = self._guard(out)
         return out
 
-    def word_to_normal(self, seq: tuple, v: Perm, i: tuple) -> Element:
+    def word_to_normal(self, seq, v: Perm, i: tuple) -> Element:
         """Normal form of tau_seq 1_i, where seq is a reduced word of v."""
-        cv = canon_word(v)
+        cv = canon_word(v)  # names the strand limit before bytes() meets a letter over 255
+        seq = bytes(seq)
         if seq == cv:
             return self.monomial(i, v)
         g = cv[0]
@@ -270,7 +307,7 @@ class KLR:
         out = self.lmul_tau(g, self.word_to_normal(tail, swap_values(v, g), i))
         return self._guard(add_scaled(out, corr))
 
-    def front_elem(self, seq, g: int, i) -> tuple[tuple, Element]:
+    def front_elem(self, seq: bytes, g: int, i) -> tuple[bytes, Element]:
         """Rewrite so the word starts with g: tau_seq 1_i = tau_g tau_tail 1_i + corr.
 
         Requires seq reduced with g a left descent of its permutation; the
@@ -283,7 +320,7 @@ class KLR:
         rt, c1 = self.front_elem(seq[1:], g, i)
         corr = self.lmul_tau(h, c1) if c1 else {}
         if abs(h - g) >= 2:
-            return (h,) + rt, corr
+            return bytes((h,)) + rt, corr
         t2, c2 = self.front_elem(rt, h, i)
         if c2:
             add_scaled(corr, self.lmul_tau(h, self.lmul_tau(g, c2)))
@@ -297,7 +334,7 @@ class KLR:
             base = self.word_to_normal(t2, v2, i)
             for coeff, exps in terms:
                 add_scaled(corr, base, sign * coeff, exps)
-        return (h, g) + t2, corr
+        return bytes((h, g)) + t2, corr
 
     # -- whole-element operations ---------------------------------------------
 

@@ -185,7 +185,7 @@ class ProperStandard:
                 rw = canon_word(u1)
                 w2 = list(words)
                 for t, cw in local.items():
-                    rw += tuple(self.offsets[t] + c for c in cw)
+                    rw += bytes(self.offsets[t] + c for c in cw)
                     for c in reversed(cw):
                         if w2[t] is not None:
                             w2[t] = self.reps[t].tau(c, w2[t])

@@ -526,6 +526,16 @@ def test_budget_refusal_prints_no_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_strand_limit_prints_no_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(klr, "MAX_STRANDS", 4)
+    code, out, err = run_cli(capsys, "gram", "--type", "A", "--rank", "3",
+                             "--parts", "0,1,0;1,1,1;1,0,0", "--word", "12123")
+    assert code == 1
+    assert json.loads(out) == {"error": "a permutation of 5 strands is over the limit "
+                                        "of 4 strands that canonical words are kept for"}
+    assert "Traceback" not in err
+
+
 def test_config_dest_differs_from_flag(tmp_path, capsys):
     # --type is stored as `family`, --cache-dir as `cache_dir`
     conf = tmp_path / "conf.json"

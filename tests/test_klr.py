@@ -4,7 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from klrchar.cartan import CartanType, RootSystem
-from klrchar.klr import (KLR, add_into, add_scaled, apply_perm_word,
+from klrchar.klr import (KLR, MAX_STRANDS, add_into, add_scaled, apply_perm_word,
                          canon_word, perm_id, perm_len, perm_of_word,
                          swap_values)
 
@@ -38,7 +38,7 @@ def a2():
 def test_perm_helpers():
     w = perm_of_word((0, 1), 3)
     assert w == (1, 2, 0)
-    assert canon_word(w) == (0, 1)
+    assert canon_word(w) == bytes((0, 1))
     assert tuple(w[k] for k in perm_inv(w)) == perm_id(3)
     assert perm_len(w) == 2
     assert apply_perm_word(w, (7, 8, 9)) == (9, 7, 8)
@@ -83,7 +83,7 @@ def test_canon_word_is_lex_least_reduced_word():
     memo = {}
     for n in range(1, 7):
         for w in permutations(range(n)):
-            assert canon_word(w) == lex_least_reduced_word(w, memo), w
+            assert canon_word(w) == bytes(lex_least_reduced_word(w, memo)), w
 
 
 def restart_at_zero_canon_word(w):
@@ -106,7 +106,34 @@ def test_canon_word_matches_restart_at_zero_scan():
         w = list(range(rng.randint(10, 20)))
         rng.shuffle(w)
         w = tuple(w)
-        assert canon_word(w) == restart_at_zero_canon_word(w), w
+        assert canon_word(w) == bytes(restart_at_zero_canon_word(w)), w
+
+
+@pytest.mark.parametrize("fam,rank,words", [
+    ("A", 3, [(1, 2, 1, 3, 2), (2, 2, 1, 3, 1), (3, 3, 3, 2, 2)]),
+    ("B", 2, [(1, 2, 1, 2, 1), (2, 2, 1, 1, 2)]),
+    ("G", 2, [(1, 2, 1, 1, 2), (2, 1, 2, 1, 1)])])
+def test_ascent_products_match_word_to_normal(fam, rank, words):
+    # tau_times_perm answers an ascent whose word (k,) + canon(w) is
+    # canonical without straightening it; word_to_normal straightens it
+    H = KLR(RootSystem(CartanType(fam, rank)))
+    for n in range(2, 6):
+        for w in permutations(range(n)):
+            for k in range(n - 1):
+                if w.index(k) > w.index(k + 1):
+                    continue
+                for word in words:
+                    i = word[:n]
+                    want = H.word_to_normal(bytes((k,)) + canon_word(w), swap_values(w, k), i)
+                    assert H.tau_times_perm(k, w, i) == want, (k, w, i)
+
+
+def test_canon_word_refuses_more_strands_than_its_limit():
+    assert canon_word(perm_id(MAX_STRANDS)) == b""
+    assert canon_word(tuple(range(MAX_STRANDS - 1, -1, -1)))[:3] == bytes((0, 1, 0))
+    with pytest.raises(ValueError, match=f"^a permutation of {MAX_STRANDS + 1} strands "
+                                         f"is over the limit of {MAX_STRANDS} strands"):
+        canon_word(perm_id(MAX_STRANDS + 1))
 
 
 def test_quadratic_relation_cases(a2):

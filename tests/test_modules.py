@@ -6,9 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from klrchar import klr
 from klrchar.cartan import CartanType, RootSystem
 from klrchar.convex import lyndon_order, order_from_reduced_word, random_reduced_word
-from klrchar.klr import KLR, apply_perm_word, canon_word, perm_of_word
+from klrchar.klr import KLR, apply_perm_word, canon_word, perm_of_word, swap_values
 from klrchar.kostant import kostant_partitions
 from klrchar.laurent import LaurentPoly
 from klrchar.modules import (MR_BOUND, HomogRep, NotHomogeneousError,
@@ -351,6 +352,18 @@ def test_later_gram_matrices_leave_the_memos_unchanged():
     H = KLR(rs)
     M = ProperStandard(H, lyndon_order(rs), ((0, 1, 0), (1, 1, 1), (1, 0, 0)))
     G = M.gram_matrix((1, 2, 1, 2, 3))
+    # an ascent k whose word (k,) + canon(w) is canonical, that is one where
+    # canon(s_k w) starts with k, is the unit monomial of s_k w and is never
+    # stored; a descent may be one (tau_k^2 = 1 on commuting letters)
+    ascents = [(k, w, i) for k, w, i in H._ttp if w.index(k) < w.index(k + 1)]
+    assert ascents
+    for k, w, i in ascents:
+        v = swap_values(w, k)
+        assert canon_word(v)[:1] != bytes((k,))
+        assert H._ttp[k, w, i] != H.monomial(i, v)
+    assert len(H._ttp) == 5
+    assert all(type(key) is bytes and type(cw) is bytes
+               for key, cw in klr._CANON_CACHE.items())
     ttp, images = copy.deepcopy(H._ttp), copy.deepcopy(M._images)
     M.gram_matrix((1, 2, 3, 2, 1))
     M.gram_matrix((1, 2, 1, 2, 3), 2)
