@@ -13,11 +13,11 @@ word (k) + canon(w) into canonical form; each braid move emits correction
 terms with strictly fewer crossings, so the recursion is well founded.
 Descents go through the quadratic relation.
 
-KLR._ttp memoizes the generator products that cost straightening: the
-descents, and the ascents whose word (k) + canon(w) is not canonical.  An
-ascent whose word is canonical is the unit monomial of s_k w, found from
-canon(w) alone, and is never stored; such ascents are most of the products
-a Gram matrix asks for, and few of them are asked for twice.
+The engine keeps no product memo: every product is built afresh and
+belongs to its caller, which may change it in place.  An ascent whose word
+(k) + canon(w) is canonical is the unit monomial of s_k w, found from
+canon(w) alone; such ascents are most of the products a Gram matrix asks
+for.  The one straightening memo is each ProperStandard's image table.
 
 Positions are 0-based internally (tau_k crosses strands k and k+1,
 0 <= k <= n-2); words are tuples of 1-based node labels.
@@ -119,9 +119,9 @@ def add_scaled(out: Element, elem: Element, c: int = 1, exps=None) -> Element:
     """Add c * x^exps * elem into out, in place, and return out.
 
     exps (an exponent vector, or None for none) shifts every monomial of
-    elem.  out must be an element the caller built: the memoized products
-    of KLR.tau_times_perm and the images ProperStandard keeps are shared,
-    so they may be read as elem but never accumulated into.
+    elem.  out must be an element the caller owns: the images a
+    ProperStandard keeps are shared, so they may be read as elem but never
+    accumulated into.
     """
     if exps is not None and any(exps):
         for (i, w, a), c2 in elem.items():
@@ -160,12 +160,13 @@ class KLR:
         for (i, j), s in eps.items():
             if eps.get((j, i), 0) * s != -1:
                 raise ValueError(f"sign convention violates eps({i},{j})eps({j},{i}) = -1")
-        self._ttp: dict[tuple, Element] = {}
         self._zeros: dict[int, tuple] = {}
 
     def _guard(self, elem: Element) -> Element:
         if len(elem) > TERM_BUDGET:
-            raise ResourceBudgetError(f"straightening built an element of {len(elem)} "
+            strands = len(next(iter(elem))[1])
+            raise ResourceBudgetError(f"straightening in type {self.rs.cartan_type} on "
+                                      f"{strands} strands built an element of {len(elem)} "
                                       f"monomials, over the budget of {TERM_BUDGET}")
         return elem
 
@@ -252,15 +253,15 @@ class KLR:
     def tau_times_perm(self, k: int, w: Perm, i) -> Element:
         """Normal form of tau_k tau_w 1_i (tau_w the canonical monomial).
 
+        The product is built afresh on each call and belongs to the caller.
         When k is an ascent of w and the smallest left descent of s_k w, the
-        word (k,) + canon(w) is canonical and the product is the unit monomial
-        of s_k w.  It is built afresh on each call and never stored: such
-        products are most of those a Gram matrix asks for, the memo would
-        hold one monomial for each, and few are asked for twice.  Every other
-        product is memoized in self._ttp and shared between callers, so it
-        is read-only.
+        word (k,) + canon(w) is canonical and the product is the unit
+        monomial of s_k w, found without straightening.
         """
         p, q = w.index(k), w.index(k + 1)
+        v = list(w)
+        v[p], v[q] = k + 1, k
+        w2 = tuple(v)  # s_k w
         if p < q:
             # ascent: (k,) + canon(w) is a reduced word of s_k w.  A suffix of
             # a canonical word is canonical, so canon(s_k w) starts with k
@@ -269,32 +270,19 @@ class KLR:
             # stands left of k + 1 in w (k + 1's place holds k in s_k w)
             cw = canon_word(w)
             if (not cw or cw[0] >= k - 1) and (k == 0 or w.index(k - 1) < q):
-                v = list(w)
-                v[p], v[q] = k + 1, k  # s_k w
-                return {(i, tuple(v), self.zeros(len(w))): 1}
-        key = (k, w, i)
-        hit = self._ttp.get(key)
-        if hit is not None:
-            return hit
-        w2 = swap_values(w, k)
-        if p < q:
-            out = self.word_to_normal(bytes((k,)) + cw, w2, i)
-        else:
-            # descent: tau_k tau_w = tau_k^2 tau_{w'} - tau_k C  where
-            # tau_k tau_{w'} = tau_w + C and w' = s_k w
-            E = self.tau_times_perm(k, w2, i)
-            C = dict(E)
-            lead = (tuple(i), w, self.zeros(len(w)))
-            if C.get(lead) != 1:
-                raise AssertionError("missing unit leading term in ascent product")
-            del C[lead]
-            out: Element = {}
-            for coeff, exps in self.quad_terms(k, apply_perm_word(w2, i)):
-                add_into(out, (tuple(i), w2, exps), coeff)
-            if C:
-                add_scaled(out, self.lmul_tau(k, C), -1)
-        self._ttp[key] = self._guard(out)
-        return out
+                return {(i, w2, self.zeros(len(w))): 1}
+            return self.word_to_normal(bytes((k,)) + cw, w2, i)
+        # descent: tau_k tau_w = tau_k^2 tau_{w'} - tau_k C  where
+        # tau_k tau_{w'} = tau_w + C and w' = s_k w
+        C = self.tau_times_perm(k, w2, i)
+        if C.pop((tuple(i), w, self.zeros(len(w))), None) != 1:
+            raise AssertionError("missing unit leading term in ascent product")
+        out: Element = {}
+        for coeff, exps in self.quad_terms(k, apply_perm_word(w2, i)):
+            add_into(out, (tuple(i), w2, exps), coeff)
+        if C:
+            add_scaled(out, self.lmul_tau(k, C), -1)
+        return self._guard(out)
 
     def word_to_normal(self, seq, v: Perm, i: tuple) -> Element:
         """Normal form of tau_seq 1_i, where seq is a reduced word of v."""

@@ -190,8 +190,7 @@ class ProperStandard:
                         if w2[t] is not None:
                             w2[t] = self.reps[t].tau(c, w2[t])
                 E = self.engine.word_to_normal(rw, u, jword)
-                lead = (jword, u, self.engine.zeros(self.n))
-                if E.get(lead) != 1:
+                if E.pop((jword, u, self.engine.zeros(self.n)), None) != 1:
                     raise AssertionError("coset rewriting lost its leading term")
                 if None not in w2:
                     todo.append((coeff, exps, u1, tuple(w2)))
@@ -204,7 +203,6 @@ class ProperStandard:
                 exps2 = tuple(exps2)
                 cw = canon_word(u)
                 pos = p
-                lead = None
                 lower = []
                 for idx, c in enumerate(cw):
                     if pos == c or pos == c + 1:
@@ -222,7 +220,7 @@ class ProperStandard:
                 continue
             todo += [(sign * c, tuple(x + y for x, y in zip(shift, b)), wv, words)
                      for sign, shift, elem in lower
-                     for (iw, wv, b), c in elem.items() if (iw, wv, b) != lead]
+                     for (_, wv, b), c in elem.items()]
         return out
 
     # -- action -----------------------------------------------------------------

@@ -109,10 +109,15 @@ def test_canon_word_matches_restart_at_zero_scan():
         assert canon_word(w) == bytes(restart_at_zero_canon_word(w)), w
 
 
-@pytest.mark.parametrize("fam,rank,words", [
+# words with repeated letters, so that descents meet tau_k^2 = 0 and
+# braid moves meet correction terms
+STRAIGHTENING_CASES = [
     ("A", 3, [(1, 2, 1, 3, 2), (2, 2, 1, 3, 1), (3, 3, 3, 2, 2)]),
     ("B", 2, [(1, 2, 1, 2, 1), (2, 2, 1, 1, 2)]),
-    ("G", 2, [(1, 2, 1, 1, 2), (2, 1, 2, 1, 1)])])
+    ("G", 2, [(1, 2, 1, 1, 2), (2, 1, 2, 1, 1)])]
+
+
+@pytest.mark.parametrize("fam,rank,words", STRAIGHTENING_CASES)
 def test_ascent_products_match_word_to_normal(fam, rank, words):
     # tau_times_perm answers an ascent whose word (k,) + canon(w) is
     # canonical without straightening it; word_to_normal straightens it
@@ -125,6 +130,27 @@ def test_ascent_products_match_word_to_normal(fam, rank, words):
                 for word in words:
                     i = word[:n]
                     want = H.word_to_normal(bytes((k,)) + canon_word(w), swap_values(w, k), i)
+                    assert H.tau_times_perm(k, w, i) == want, (k, w, i)
+
+
+@pytest.mark.parametrize("fam,rank,words", STRAIGHTENING_CASES)
+def test_straightened_products_belong_to_the_caller(fam, rank, words):
+    # the engine keeps no product memo: a caller may change a product in
+    # place, and neither a repeated call nor a later descent, which pops the
+    # lead of its ascent product, sees the change
+    rs = RootSystem(CartanType(fam, rank))
+    H = KLR(rs)
+    for n in range(2, 6):
+        for w in permutations(range(n)):
+            for k in range(n - 1):
+                for word in words:
+                    i = word[:n]
+                    want = KLR(rs).tau_times_perm(k, w, i)
+                    got = H.tau_times_perm(k, w, i)
+                    assert got == want, (k, w, i)
+                    for key in got:
+                        got[key] *= 3
+                    got[(i, w, (1,) * n)] = 1
                     assert H.tau_times_perm(k, w, i) == want, (k, w, i)
 
 
