@@ -18,8 +18,6 @@ so Gram matrices and actions on one module straighten each image once.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cartan import Root, RootSystem
 from .convex import ConvexOrder, Word, good_lyndon_words
 from .klr import (KLR, Perm, add_into, add_scaled, apply_perm_word, canon_word,
@@ -380,24 +378,30 @@ def check_characteristic(p: int) -> int:
 
 
 def rank_over(matrix, p: int = 0) -> int:
-    """Rank over Q (p = 0) or over F_p (p prime)."""
+    """Rank over Q (p = 0) or over F_p (p prime), by fraction-free elimination.
+
+    Each row R below the pivot row P, pivot column c, becomes
+    P[c] R - R[c] P, reduced mod p over F_p.  Over Q the entries stay
+    integers: each new row is divided by the previous pivot (Bareiss), a
+    division that is exact, as every entry is then a minor of the matrix.
+    """
     check_characteristic(p)
-    if not matrix or not matrix[0]:
-        return 0
-    # the field: F_p reduces mod p, Q computes with fractions
-    norm = (lambda a: a % p) if p else Fraction
-    rows = [[norm(a) for a in r] for r in matrix]
-    rank = 0
-    for col in range(len(rows[0])):
+    rows = [[a % p for a in r] if p else list(r) for r in matrix]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p) if p else 1 / rows[rank][col]
-        rows[rank] = [norm(a * inv) for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [norm(a - f * b) for a, b in zip(rows[r], rows[rank])]
+        P = rows[rank]
+        a = P[col]
+        for r in range(rank + 1, len(rows)):
+            R = rows[r]
+            b = R[col]
+            if p:
+                rows[r] = [(a * x - b * y) % p for x, y in zip(R, P)]
+            else:
+                rows[r] = [(a * x - b * y) // prev for x, y in zip(R, P)]
+        prev = a
         rank += 1
     return rank

@@ -40,12 +40,12 @@ changes no value, as nothing writes a LaurentPoly's `.c` once it is built
 the bar twist bar(u o v) = q^{(|u|,|v|)} (v o u), the twisted half is the
 packed bar of each pair product.  An interleaving of exponent e then adds
 q^e - q^(t - e), t = s - (|u|,|v|), which is 0 at the centre e = t / 2, so
-the pair kernel walks the centre's placements without recording them.  A
-pair with a one-letter word takes no pair product: the letter is inserted
-slot by slot, the step Leclerc's quantum-shuffle construction of dual PBW
-bases iterates.  It is the one rank-two building block: the solve for dual
-root vectors divides it, and the length-two check compares it with the
-root character it produces.
+a word whose interleavings all sit there, or cancel about it, is never
+added.  A pair with a one-letter word takes no pair product: the letter is
+inserted slot by slot, the step Leclerc's quantum-shuffle construction of
+dual PBW bases iterates.  It is the one rank-two building block: the solve
+for dual root vectors divides it, and the length-two check compares it
+with the root character it produces.
 
 Only `shuffle` memoizes word-pair products, packed, in the root system's
 `_shuffle_pair_cache`, keyed by the pair, the width and the offset: the
@@ -101,8 +101,7 @@ def deg_stat(w_perm: tuple[int, ...], word: Word, rs: RootSystem) -> int:
     return total
 
 
-def _pair_shuffle(i: Word, j: Word, rs: RootSystem,
-                  skip: int | None = None) -> dict[Word, dict[int, int]]:
+def _pair_shuffle(i: Word, j: Word, rs: RootSystem) -> dict[Word, dict[int, int]]:
     """Shuffle of two single words: {word: {exponent: interleavings}}.
 
     The letters of the shorter word are placed left to right among those of
@@ -113,18 +112,12 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem,
     move the last letter one slot on, a swap with the letter it passes (none
     where the two are equal, as the word stays), and otherwise move an
     earlier letter on and rewrite the word's tail from slices.
-
-    A placement whose exponent is skip is walked but not recorded: it builds
-    no tuple and touches no dict, and a word with no other placement is
-    left out.  The output is the unskipped one with exponent skip removed
-    and emptied words dropped.  The q-commutator passes the centre of its
-    bar twist, where an interleaving adds 0 (`_shuffle_pass`).
     """
     B = rs.bilinear_matrix
     short, long = (i, j) if len(i) <= len(j) else (j, i)
     k, n = len(short), len(long)
     if not k:
-        return {} if skip == 0 else {long: {0: 1}}
+        return {long: {0: 1}}
     # cost[t][a]: minus the form of letter t at slot a with the letters it
     # crosses, those of j in front of a letter of i: a letter of i at slot a
     # follows j[:a], and a letter of j at slot a precedes i[a:]: prefix sums
@@ -134,9 +127,6 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem,
     else:
         cost = [list(accumulate([-B[x - 1][y - 1] for y in reversed(long)], initial=0))[::-1]
                 for x in short]
-    if skip is None:
-        # no exponent reaches this: int comparisons run faster than with None
-        skip = 1 + sum(max(map(abs, r)) for r in cost)
     # slot[t] for the letters but the last, whose slot is s; part[t] is the
     # exponent of the letters in front of t
     last, y, c = k - 1, short[-1], cost[-1]
@@ -144,11 +134,10 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem,
     part = list(accumulate([r[0] for r in cost[:last]], initial=0))
     s = 0
     word = [*short, *long]
-    out: dict[Word, dict[int, int]] = {}
+    # d is the dict of the current word
+    d = {part[last] + c[0]: 1}
+    out: dict[Word, dict[int, int]] = {tuple(word): d}
     get = out.get
-    e = part[last] + c[0]
-    # d is the dict of the current word, None after a skipped placement
-    d = None if e == skip else out.setdefault(tuple(word), {e: 1})
     while True:
         if s != n:
             # the last letter passes the letter x of the longer word
@@ -157,11 +146,8 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem,
             s += 1
             e = part[last] + c[s]
             if x == y:
-                # the word stays; d is stale if its last placement was skipped
-                if e != skip:
-                    if d is None:
-                        d = out.setdefault(tuple(word), {})
-                    d[e] = d.get(e, 0) + 1
+                # the word stays
+                d[e] = d.get(e, 0) + 1
                 continue
             word[p], word[p + 1] = x, y
         else:
@@ -178,9 +164,6 @@ def _pair_shuffle(i: Word, j: Word, rs: RootSystem,
             for r in range(t, last):
                 part[r + 1] = part[r] + cost[r][s]
             e = part[last] + c[s]
-        if e == skip:
-            d = None
-            continue
         w = tuple(word)
         d = get(w)
         if d is None:
@@ -408,13 +391,11 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     q^e - q^(t - e) at its word, t = s - (|u|,|v|); packed, that is D[e]
     of a row D built once per pair of weights, and a word's coefficient in
     the pair is the sum of n D[e] over its exponents e of n interleavings,
-    one plain loop.  D[e] is 0 at the centre e = t / 2, so the kernel is
-    given the centre (None when t is odd) and records no placement there.
-    That is exact: it drops only zero terms from the sums, and a word with
-    every interleaving at the centre would sum to 0.  Many other words of a
-    rank-two solve cancel inside their pair, their exponents symmetric about
-    t / 2; a word whose sum is 0 is never added.  Only the whole sum
-    decides: a word with one interleaving at the centre may have others.
+    one plain loop.  D[e] is 0 at the centre e = t / 2, so a word with every
+    interleaving there sums to 0, and so do many words of a rank-two solve,
+    their exponents symmetric about t / 2; a word whose sum is 0 is never
+    added.  Only the whole sum decides: a word with one interleaving at the
+    centre may have others.
 
     A pair in which u or v is one letter x takes the letter path: x goes
     into each slot t of the other word w, crossing w[:t] when it is u and
@@ -445,15 +426,13 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
     top = max(pos for pos, _, _ in forms.values()) + (max(0, -s) if twist else 0)
     if twist:
         # per pair of weights, D[e] = X^(e + top) - X^(t - e + top), X = 2^width,
-        # the centre and (|u|,|v|): the twisted exponent is t - e, t = s - (|u|,|v|),
-        # and both slots are non-negative; D[e] is 0 at the centre e = t / 2, which
-        # the pair kernel skips (None when t is odd).  A negative e indexes D from its end
+        # and (|u|,|v|): the twisted exponent is t - e, t = s - (|u|,|v|), and both
+        # slots are non-negative.  A negative e indexes D from its end
         rows = {}
         for key, (pos, neg, _) in forms.items():
             t = s - pos + neg
             rows[key] = ([(1 << width * (e + top)) - (1 << width * (t - e + top))
-                          for e in [*range(neg + 1), *range(-pos, 0)]],
-                         None if t % 2 else t // 2, pos - neg)
+                          for e in [*range(neg + 1), *range(-pos, 0)]], pos - neg)
         negB = [[-c for c in r] for r in B]
     acc: dict[Word, int] = {}
     get = acc.get
@@ -461,7 +440,7 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
         for v, Bv in pb.ints.items():
             AB = A * Bv
             if twist:
-                D, centre, uv = rows[ka[u], kb[v]]
+                D, uv = rows[ka[u], kb[v]]
                 if len(u) == 1 or len(v) == 1:
                     # at slot t the letter crosses w[:t] as u, w[t:] as v;
                     # its exponent, minus its form with them, is a running sum
@@ -479,7 +458,7 @@ def _shuffle_pass(a: ShuffleElement, b: ShuffleElement, rs: RootSystem,
                             T = 0
                         e += row[y - 1]
                     continue
-                for word, exps in _pair_shuffle(u, v, rs, centre).items():
+                for word, exps in _pair_shuffle(u, v, rs).items():
                     T = 0
                     for e, n in exps.items():
                         T += n * D[e]

@@ -1,10 +1,13 @@
 import copy
 import math
 import random
+from fractions import Fraction
 from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klrchar import klr
 from klrchar.cartan import CartanType, RootSystem
@@ -234,6 +237,59 @@ def test_characteristic_refuses_above_bound(p):
     # MR_BOUND itself is a strong pseudoprime to every base; 2^89 - 1 is prime
     with pytest.raises(ValueError, match=f"below {MR_BOUND}"):
         check_characteristic(p)
+
+
+def gauss_jordan_rank(matrix, p):
+    """The oracle: Gauss-Jordan over the field, Fractions over Q; each pivot
+    row is scaled to a unit pivot and its column cleared above and below."""
+    if not matrix or not matrix[0]:
+        return 0
+    norm = (lambda a: a % p) if p else Fraction
+    rows = [[norm(a) for a in r] for r in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p) if p else 1 / rows[rank][col]
+        rows[rank] = [norm(a * inv) for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [norm(a - f * b) for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def rank_test_matrices(draw):
+    """An n x m matrix, wide, tall or square, of rank at most k: a product of
+    n x k and k x m factors, then some rows and columns set to zero.  The
+    right factor's entries reach 10^30."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    k = draw(st.integers(0, min(n, m)))
+    big = draw(st.sampled_from([3, 10 ** 30]))
+    left = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)]
+    right = [[draw(st.integers(-big, big)) for _ in range(m)] for _ in range(k)]
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else set()
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else set()
+    return [[0 if i in zero_rows or j in zero_cols
+             else sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 7])
+# derandomized, with no example database, so every run draws the same examples
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@example(matrix=[[10 ** 30, 10 ** 30 - 1], [10 ** 30 + 1, 10 ** 30]])
+@example(matrix=[[0, 0, 0], [0, 10 ** 30, 0]])
+@example(matrix=[[2, 4], [3, 6], [5, 10], [7, 14]])
+# eliminated without reduction its last row is (0, 0, -2): rank 2 over F_2 only
+@example(matrix=[[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+@given(matrix=rank_test_matrices())
+def test_rank_over_matches_gauss_jordan(p, matrix):
+    assert rank_over(matrix, p) == gauss_jordan_rank(matrix, p)
 
 
 def fraction_free_rank(matrix, p):

@@ -312,44 +312,17 @@ def test_pair_shuffle_keeps_the_letter_by_letter_order(fam, rank):
                 assert got == want, (i, j)
 
 
-@pytest.mark.parametrize("fam,rank", KERNEL_TYPES)
-def test_pair_shuffle_skips_exactly_one_exponent(fam, rank):
-    # for every exponent of the pair, one past either end and None, the
-    # skipping kernel gives the full output with that exponent removed and
-    # emptied words dropped
-    rs = RootSystem(CartanType(fam, rank))
-    rng = random.Random(47)
-    for m in range(7):
-        for n in range(7):
-            for letters in (2, rank):
-                i = tuple(rng.randint(1, letters) for _ in range(m))
-                j = tuple(rng.randint(1, letters) for _ in range(n))
-                full = sh._pair_shuffle(i, j, rs)
-                exps = {e for d in full.values() for e in d}
-                for skip in [None, *range(min(exps) - 1, max(exps) + 2)]:
-                    want = {w: kept for w, d in full.items()
-                            if (kept := {e: k for e, k in d.items() if e != skip})}
-                    assert sh._pair_shuffle(i, j, rs, skip) == want, (i, j, skip)
-
-
-def test_pair_shuffle_records_an_equal_letter_after_a_skipped_placement():
-    # 1 o 121 in A2: the first placement, 1121 at e = 0, is skipped; the next
-    # passes an equal letter, so the word stays and its e = -2 must still be
-    # recorded although no dict was fetched for it
-    rs = RootSystem(CartanType("A", 2))
-    assert sh._pair_shuffle((1,), (1, 2, 1), rs, 0) == {
-        (1, 1, 2, 1): {-2: 1}, (1, 2, 1, 1): {-1: 1, -3: 1}}
-
-
 def test_q_commutator_keeps_a_word_with_one_interleaving_at_the_centre():
+    # both pairs hold a one-letter word, so they take the letter path.
     # 1 o 1 = (1 + q^-2) 11 in A2; with s = 2 the twisted exponent of e is
-    # s - (a_1, a_1) - e = -e, so the interleaving at e = 0 cancels against
-    # itself, and the one at e = -2 leaves q^-2 - q^2: the word must stay
+    # s - (a_1, a_1) - e = -e, so the slot at e = 0 cancels against itself,
+    # and the one at e = -2 leaves q^-2 - q^2: the word must stay
     rs = RootSystem(CartanType("A", 2))
     assert _ordered(sh._pair_shuffle((1,), (1,), rs)) == [((1, 1), [(0, 1), (-2, 1)])]
     got = q_commutator(sh_word((1,)), sh_word((1,)), 2, rs)
     assert got == {(1, 1): LaurentPoly({-2: 1, 2: -1})}
-    # 1 o 121, (1, 121) = 3, s = 3: the centre is again e = 0, met first in 1121
+    # 1 o 121, (1, 121) = 3, s = 3: the centre is again e = 0, the first slot
+    # of the run that gives 1121
     assert _ordered(sh._pair_shuffle((1,), (1, 2, 1), rs)) == [
         ((1, 1, 2, 1), [(0, 1), (-2, 1)]), ((1, 2, 1, 1), [(-1, 1), (-3, 1)])]
     a, b = sh_word((1,)), sh_word((1, 2, 1))
@@ -358,6 +331,44 @@ def test_q_commutator_keeps_a_word_with_one_interleaving_at_the_centre():
                    (1, 2, 1, 1): LaurentPoly({-3: 1, -1: 1, 1: -1, 3: -1})}
     assert sh_eq(got, sh_sub(shuffle(a, b, rs),
                              sh_scale(shuffle(b, a, rs), LaurentPoly.term(1, 3))))
+
+
+def test_general_kernel_leaves_out_words_with_every_placement_at_the_centre():
+    # 11 o 22 in A2, s = 0: (2a_1, 2a_2) = -4, so t = 4 and the centre is
+    # e = 2, where 1221 and 2112 have their one interleaving each; the pair
+    # takes the general kernel, which must leave both words out
+    rs = RootSystem(CartanType("A", 2))
+    a, b = sh_word((1, 1)), sh_word((2, 2))
+    pairs = sh._pair_shuffle((1, 1), (2, 2), rs)
+    assert pairs[1, 2, 2, 1] == pairs[2, 1, 1, 2] == {2: 1}
+    got = q_commutator(a, b, 0, rs)
+    assert got == {(1, 1, 2, 2): LaurentPoly({0: 1, 4: -1}),
+                   (1, 2, 1, 2): LaurentPoly({1: 1, 3: -1}),
+                   (2, 1, 2, 1): LaurentPoly({1: -1, 3: 1}),
+                   (2, 2, 1, 1): LaurentPoly({0: -1, 4: 1})}
+    assert sh_eq(got, twisted_oracle(a, b, 0, rs))
+    assert all(got.values())
+    assert list(got) == general_kernel_order(a, b, 0, rs)
+
+
+def test_general_kernel_work_on_the_f4_dual_root_vectors(monkeypatch):
+    # the F4 Lyndon dual root vectors in a fresh root system: every call of
+    # the pair kernel and every (word, exponent) entry it returns, centre
+    # placements included.  A pinned work count shows a change in the
+    # kernel's work without timing it
+    entries = []
+    kernel = sh._pair_shuffle
+
+    def counting(i, j, rs):
+        out = kernel(i, j, rs)
+        entries.append(sum(map(len, out.values())))
+        return out
+    monkeypatch.setattr(sh, "_pair_shuffle", counting)
+    rs = RootSystem(CartanType("F", 4))
+    pbw = PBWCharacters(lyndon_order(rs))
+    for alpha in rs.positive_roots:
+        pbw.dual_root(alpha)
+    assert (len(entries), sum(entries)) == (6, 1979)
 
 
 # -- the q-commutator's letter path ------------------------------------------------
